@@ -14,19 +14,13 @@ module Figures = Disco_experiments.Figures
 module Results = Disco_experiments.Results
 module Cli = Disco_experiments.Cli
 
-let run figure scale seed jobs json baseline =
+let run figure scale seed jobs json =
   Results.reset ();
   match figure with
-  | "alloc" -> (
-      (* Alloc mode owns its output: --json snapshots the alloc table
-         (BENCH_alloc.json), not the per-figure Results summary;
-         --baseline gates words/hop against a committed snapshot. *)
-      try
-        Alloc.run ?json ?baseline ~seed scale;
-        `Ok ()
-      with Sys_error e -> `Error (false, e))
   | "throughput" -> (
-      (* Same ownership: --json snapshots BENCH_throughput.json. *)
+      (* Throughput mode owns its output: --json snapshots the throughput
+         table (BENCH_throughput.json), not the per-figure Results
+         summary.  Exits nonzero if any row allocates on the hop loop. *)
       try
         Throughput.run ?json ~seed scale;
         `Ok ()
@@ -59,13 +53,6 @@ let json =
   let doc = "Write per-figure/per-router summary statistics as JSON." in
   Arg.(value & opt (some string) None & info [ "json" ] ~docv:"FILE" ~doc)
 
-let baseline =
-  let doc =
-    "Committed BENCH_alloc.json to gate against (alloc figure only): exit \
-     nonzero if any row's words/hop regresses more than 20%."
-  in
-  Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE" ~doc)
-
 let cmd =
   let doc = "Regenerate the Disco paper's evaluation figures and tables" in
   let info = Cmd.info "disco-bench" ~doc in
@@ -74,8 +61,8 @@ let cmd =
       ret
         (const run
         $ Cli.figure_term
-            ~extra:[ "all"; "micro"; "alloc"; "throughput"; "scaling" ]
+            ~extra:[ "all"; "micro"; "throughput"; "scaling" ]
             ~default:"all" ()
-        $ Cli.scale_term $ Cli.seed_term $ Cli.jobs_term $ json $ baseline))
+        $ Cli.scale_term $ Cli.seed_term $ Cli.jobs_term $ json))
 
 let () = exit (Cmd.eval cmd)

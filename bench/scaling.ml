@@ -1,11 +1,19 @@
 (* Scaling sweep (`--figure scaling`): build every registered scheme on a
    GLP topology decade by decade (10^3 up to 10^6 at `--scale paper`) and
-   record exact per-node state bytes (sampled nodes), sampled-pair typed
-   walks (delivery + stretch against a Dijkstra oracle), build time, and
-   peak RSS.  This is the empirical check of the paper's Õ(√n) state
-   claim: the run ends with a log-log least-squares fit of state bytes
-   vs n per scheme and fails (nonzero exit) if disco or nddisco grow
-   with a fitted exponent above 0.6.
+   record exact per-node state bytes (sampled nodes), sampled-pair
+   delivery and stretch against a Dijkstra oracle, build time, and peak
+   RSS.  This is the empirical check of the paper's Õ(√n) state claim:
+   the run ends with a log-log least-squares fit of state bytes vs n per
+   scheme and fails (nonzero exit) if disco or nddisco grow with a fitted
+   exponent above 0.6.  At `--scale small` it also fails when the
+   process's peak RSS passes a 4 GB ceiling.
+
+   Delivery and stretch come from each scheme's closed-form first-packet
+   oracle, not a walk: walking Disco means compiling it, which forces
+   every vicinity — more than 13 minutes and 5.6 GB at n = 10^5 — while
+   the oracle touches only the nodes its routes need.  disco-check's
+   walk ≡ oracle differential holds the two to the same delivery verdict
+   and weighted length, so the columns are the walk's.
 
    Rows checkpoint to BENCH_scaling.json (`--json` overrides the path)
    after every scheme of every decade; re-running with the same file
@@ -24,7 +32,6 @@ module Rng = Disco_util.Rng
 module Graph = Disco_graph.Graph
 module Gen = Disco_graph.Gen
 module Dijkstra = Disco_graph.Dijkstra
-module D = Disco_core.Dataplane
 
 type row = {
   scheme : string;
@@ -94,10 +101,9 @@ let measure_scheme tb ~ws (p : Protocol.packed) =
       state_sum := !state_sum +. b;
       if b > !state_max then state_max := b)
     sample;
-  (* Walks: typed-face hop-by-hop delivery over sampled pairs, stretch
-     against an early-stopped Dijkstra oracle. *)
+  (* Sampled first packets: the oracle's delivery verdict and route,
+     stretch against an early-stopped Dijkstra. *)
   let tel = Telemetry.create () in
-  let ttl = R.ttl_factor * n in
   let rng = Testbed.rng tb ~purpose:74 in
   let delivered = ref 0 and stretch_sum = ref 0.0 in
   for _ = 1 to walk_count do
@@ -109,16 +115,13 @@ let measure_scheme tb ~ws (p : Protocol.packed) =
       in
       draw ()
     in
-    let tr =
-      D.walk ~ttl graph ~forward:(R.forward rt) ~src
-        (R.first_header rt ~tel ~src ~dst)
-    in
-    if tr.D.delivered then begin
-      incr delivered;
-      let walked = Dijkstra.path_length graph tr.D.path in
-      let shortest = (Dijkstra.sssp ~ws ~until:dst graph src).Dijkstra.dist.(dst) in
-      if shortest > 0.0 then stretch_sum := !stretch_sum +. (walked /. shortest)
-    end
+    match R.oracle_first rt ~tel ~src ~dst with
+    | None -> ()
+    | Some route ->
+        incr delivered;
+        let routed = Dijkstra.path_length graph route in
+        let shortest = (Dijkstra.sssp ~ws ~until:dst graph src).Dijkstra.dist.(dst) in
+        if shortest > 0.0 then stretch_sum := !stretch_sum +. (routed /. shortest)
   done;
   {
     scheme = R.name;
@@ -270,6 +273,24 @@ let gate_exponents rows =
         (Sys_error
            (Printf.sprintf "scaling regression:\n  %s" (String.concat "\n  " vs)))
 
+(* The small sweep (to n = 10^5) must fit in 4 GB of peak RSS, so a
+   regression to boxed per-node state fails before anyone tries the
+   million-node run.  Read from /proc/self/status; off Linux it reads 0
+   and passes. *)
+let rss_ceiling_kb = 4.0 *. 1024.0 *. 1024.0
+
+let gate_rss scale =
+  match scale with
+  | Scale.Paper -> ()
+  | Scale.Small ->
+      let peak = vmhwm_kb () in
+      Printf.printf "peak RSS: %.0f kB (ceiling %.0f kB)\n" peak rss_ceiling_kb;
+      if peak > rss_ceiling_kb then
+        raise
+          (Sys_error
+             (Printf.sprintf "scaling regression: peak RSS %.0f kB over the %.0f kB ceiling"
+                peak rss_ceiling_kb))
+
 (* --- driver ----------------------------------------------------------- *)
 
 let print_row r =
@@ -288,7 +309,7 @@ let run ?json ~seed scale =
   let have = Hashtbl.create 64 in
   List.iter (fun r -> Hashtbl.replace have (r.scheme, r.n) ()) resumed;
   Printf.printf
-    "\n== scaling: state bytes and sampled walks per decade (GLP, seed %d) ==\n\
+    "\n== scaling: state bytes and sampled routes per decade (GLP, seed %d) ==\n\
      %!"
     seed;
   Printf.printf "  %-12s %9s %12s %12s %7s %8s %10s %9s\n" "scheme" "n"
@@ -328,4 +349,5 @@ let run ?json ~seed scale =
         r.vmhwm_kb)
     rows;
   Printf.printf "wrote %s\n" path;
-  gate_exponents rows
+  gate_exponents rows;
+  gate_rss scale

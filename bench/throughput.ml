@@ -2,10 +2,31 @@
    hops/sec through the compiled zero-alloc walker, per scheme, for first
    (resolving) and later (converged) headers.  The engine lives in
    Disco_experiments.Fastwalk; this is the CLI face: scale mapping, the
-   table, and the BENCH_throughput.json snapshot via `--json FILE`. *)
+   table, the BENCH_throughput.json snapshot via `--json FILE`, and the
+   allocation gate — the run fails if any row allocates more than
+   [max_words_per_hop] minor words per hop (the timed loop reads the
+   allocation counter a few times, so a clean row sits at a few words
+   over 10^5 hops). *)
 
 module Fastwalk = Disco_experiments.Fastwalk
 module Scale = Disco_experiments.Scale
+
+let max_words_per_hop = 0.001
+
+let gate rows =
+  match List.filter (fun r -> r.Fastwalk.words_per_hop > max_words_per_hop) rows with
+  | [] ->
+      Printf.printf "alloc gate: every row within %.3f words/hop\n" max_words_per_hop
+  | bad ->
+      raise
+        (Sys_error
+           (String.concat "\n"
+              (List.map
+                 (fun r ->
+                   Printf.sprintf "alloc regression: %s/%s allocates %.4f words/hop (> %.3f)"
+                     r.Fastwalk.scheme r.Fastwalk.kind r.Fastwalk.words_per_hop
+                     max_words_per_hop)
+                 bad)))
 
 let run ?json ~seed scale =
   let n = match scale with Scale.Small -> 512 | Scale.Paper -> 4096 in
@@ -29,10 +50,11 @@ let run ?json ~seed scale =
         r.Fastwalk.words_per_hop)
     rows;
   Printf.printf "  total flow-hops routed: %d\n" total_hops;
-  match json with
+  (match json with
   | None -> ()
   | Some path ->
       let oc = open_out path in
       output_string oc (Fastwalk.json_of_rows ~seed ~n ~flows ~reps rows);
       close_out oc;
-      Printf.printf "wrote %s\n" path
+      Printf.printf "wrote %s\n" path);
+  gate rows

@@ -95,10 +95,10 @@ let route_cmd =
             | None -> Printf.printf "%-18s routing failed\n" name
           in
           let module Walk = Disco_experiments.Walk in
-          report (R.name ^ "-first")
-            (Walk.first (module R) router ~tel ~graph:g ~src ~dst);
-          report (R.name ^ "-later")
-            (Walk.later (module R) router ~tel ~graph:g ~src ~dst);
+          let walker = Walk.compile (module R) router ~graph:g in
+          let sc = Walk.scratch g in
+          report (R.name ^ "-first") (Walk.route walker sc ~tel Walk.First ~src ~dst);
+          report (R.name ^ "-later") (Walk.route walker sc ~tel Walk.Later ~src ~dst);
           Printf.printf "%-18s %.3f\n" "shortest" shortest;
           Printf.printf "%-18s %d entries\n" "state@src"
             (R.state_entries router src);
@@ -162,8 +162,9 @@ let estimate_cmd =
   Cmd.v (Cmd.info "estimate" ~doc:"Estimate n by synopsis diffusion")
     Term.(ret (const run $ kind_arg $ n_arg $ seed_arg $ buckets))
 
-(* trace: packet-level walk with per-hop decisions, for any registered
-   scheme — the same walker the figures measure with. *)
+(* trace: packet-level walk with per-hop decisions and the header each
+   node puts on the link, for any registered scheme — the same compiled
+   walker the figures measure with. *)
 let trace_cmd =
   let run kind n seed input src dst protocol =
     match load_graph ~input ~kind ~n ~seed with
@@ -177,16 +178,16 @@ let trace_cmd =
           let module R = (val packed : Disco_experiments.Protocol.ROUTER) in
           let module Walk = Disco_experiments.Walk in
           let tb = Disco_experiments.Testbed.of_graph ~seed g in
-          let router = R.build tb in
+          let walker = Walk.compile (module R) (R.build tb) ~graph:g in
+          let sc = Walk.scratch g in
           let tel = Disco_util.Telemetry.create () in
-          let show label tr =
+          let show label kind =
             Printf.printf "%s (%s):\n%s\n" label R.name
-              (Format.asprintf "%a" Core.Dataplane.pp_trace tr)
+              (Format.asprintf "%a" Walk.pp_trace
+                 (Walk.trace walker sc ~tel kind ~src ~dst))
           in
-          show "first packet"
-            (Walk.first_trace (module R) router ~tel ~graph:g ~src ~dst);
-          show "later packets"
-            (Walk.later_trace (module R) router ~tel ~graph:g ~src ~dst);
+          show "first packet" Walk.First;
+          show "later packets" Walk.Later;
           `Ok ()
         end
   in

@@ -49,8 +49,8 @@ let beacon_count t = Array.length t.beacons
 
 (* [Bigarray.Array1.get] on the concretely-typed slab compiles to an
    inline unboxed load; the cross-module [Fslab.get] wrapper boxes the
-   float on every read, which the alloc gate flags on the typed face's
-   per-hop delta folds. *)
+   float on every read, which would put an allocation in every per-hop
+   delta fold of [route]. *)
 let bdist t b v = Bigarray.Array1.get t.dist ((b * Graph.n t.graph) + v)
 
 let coordinate t v =
@@ -146,66 +146,27 @@ module D = Disco_core.Dataplane
 
 let ttl_factor = 4
 
-(* Per-hop BVR forwarding from the carried coordinate. One decision per
-   hop: [route]'s same-node Greedy -> Fallback mode switch compresses into
-   the single [Fallback_descent] rewrite (its re-check of the improving
-   neighbor against the just-recorded bound fails by construction, so both
-   machines take the same parent hop). The header carries only the mode
-   ([Greedy]/[Fallback] phase) and the fallback re-entry bound [fbound];
-   everything else — the destination's closest beacons, the asymmetric
-   delta — is recomputed at each node from the coordinate, which the
-   [extra_bytes] account for on the wire. *)
-let forward t (h : D.header) ~at:u =
-  let dst = h.D.dst in
-  if u = dst then D.Deliver
-  else begin
-    (* disco-lint: allow L7 BVR recomputes the destination's beacon components at every node from the carried coordinate (paper design) *)
-    let components = closest_beacons t dst in
-    let b = components.(0) in
-    let beacon = t.beacons.(b) in
-    (* disco-lint: allow L7 per-decision closure shared by the two fallback arms *)
-    let descend () =
-      if u = beacon then D.Drop D.No_route (* stuck at the beacon: BVR would flood *)
-      else
-        match t.parent.((b * Graph.n t.graph) + u) with
-        | -1 -> D.Drop D.No_route
-        | p -> (
-            match h.D.phase with
-            | D.Fallback -> D.Forward p
-            | _ ->
-                (* disco-lint: allow L7 delta folds the carried coordinate at each node by design *)
-                let here = delta t ~components ~node:u ~dst in
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                D.Rewrite ({ h with D.phase = D.Fallback; fbound = here }, p, D.Fallback_descent))
-    in
-    (* disco-lint: allow L7 the scrutinee pairs the phase with the recomputed best neighbor: per-decision by design *)
-    match (h.D.phase, best_neighbor t ~components u ~dst) with
-    (* disco-lint: allow L7 delta folds the carried coordinate at each node by design *)
-    | D.Greedy, Some (v, d) when d < delta t ~components ~node:u ~dst -. 1e-12
-      ->
-        D.Forward v
-    | D.Fallback, Some (v, d) when d < h.D.fbound -. 1e-12 ->
-        (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-        D.Rewrite ({ h with D.phase = D.Greedy; fbound = infinity }, v, D.Greedy_commit v)
-    | (D.Greedy | D.Fallback), _ -> descend ()
-    | (D.Seek _ | D.Steer _ | D.Carry), _ ->
-        (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-        D.Drop (D.Protocol_error "bvr: foreign header phase")
-  end
-
 let packet_header t ~src:_ ~dst =
   { (D.plain ~dst D.Greedy) with D.extra_bytes = 4 * t.routing_beacons }
 
-(* --- compiled fast path ---------------------------------------------------
+(* --- compiled forward -----------------------------------------------------
 
-   [forward] flattened for {!Dataplane.fast_walk}: each destination's
-   routing-beacon components are precomputed at compile time into one
-   stride-[frb] int slab ([fcomp]), and the per-hop delta folds run over
-   the build's distance slab with every intermediate float kept in the
-   packet's [pfs] scratch — a flat float array — so no float ever crosses
-   a call boundary boxed. Mirrors [forward] decision for decision,
-   including the epsilon guards and the nan propagation of [Float.max]
-   when a beacon reaches neither endpoint (disconnected graphs). *)
+   Per-hop BVR forwarding from the carried coordinate, for
+   {!Dataplane.fast_walk}.  The packet carries only the mode (greedy or
+   fallback) and the fallback re-entry bound; everything else — the
+   destination's closest beacons, the asymmetric delta — is recomputed at
+   each node from the coordinate, which the header's [extra_bytes]
+   account for on the wire.  Each destination's routing-beacon components
+   are precomputed at compile time into one stride-[frb] int slab
+   ([fcomp]), and the per-hop delta folds run over the build's distance
+   slab with every intermediate float kept in the packet's [pfs] scratch —
+   a flat float array — so no float ever crosses a call boundary boxed.
+   Walking it reproduces [route] exactly, including the epsilon guards
+   and the nan propagation of [Float.max] when a beacon reaches neither
+   endpoint (disconnected graphs): [route]'s same-node Greedy -> Fallback
+   switch compresses into one decision, since its re-check of the
+   improving neighbor against the just-recorded bound fails by
+   construction. *)
 
 type fast = {
   fbvr : t;
@@ -233,7 +194,7 @@ let fs_best = 3
 
 (* [delta]'s fold, accumulating into [pfs.(slot)]: same order, same
    asymmetric weighting, same [Float.max 0.0] semantics (a nan overshoot
-   stays nan, poisoning the sum exactly as the typed fold does). *)
+   stays nan, poisoning the sum exactly as [delta] does). *)
 let rec fast_delta_loop f base node dst i count (pfs : float array) slot =
   if i < count then begin
     let b = f.fcomp.(base + i) in

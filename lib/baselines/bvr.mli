@@ -41,15 +41,6 @@ val state_bytes : t -> int -> float
 val ttl_factor : int
 (** TTL budget as a multiple of [n] (4, matching {!route}). *)
 
-val forward :
-  t ->
-  Disco_core.Dataplane.header ->
-  at:int ->
-  Disco_core.Dataplane.decision
-(** One greedy/fallback step at node [at] from the carried coordinate
-    (phases {!Dataplane.Greedy}/{!Dataplane.Fallback}, re-entry bound in
-    [fbound]). Walking {!forward} reproduces {!route} exactly. *)
-
 val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 (** The header a source emits: greedy phase, the destination's coordinate
     as payload bytes (4 per routing beacon). *)
@@ -57,7 +48,7 @@ val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 val coordinate : t -> int -> float array
 (** The node's beacon-distance vector (exposed for tests). *)
 
-(** {2 Compiled fast path} *)
+(** {2 Compiled forward} *)
 
 type fast
 (** Per-destination routing-beacon components precomputed into one
@@ -68,5 +59,7 @@ val compile : t -> fast
 val fast_prime : fast -> src:int -> dst:int -> unit
 
 val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
-(** One zero-alloc decision, mirroring {!forward} exactly (epsilons, nan
-    propagation and all); floats stay in the packet's [pfs] scratch. *)
+(** One zero-alloc greedy/fallback step from the carried coordinate
+    (modes greedy/fallback, re-entry bound in the packet's [pfs] scratch).
+    Walking it reproduces {!route} exactly, epsilons and nan propagation
+    included. *)

@@ -57,8 +57,8 @@ let ball_bytes b = 8 * ((3 * Array.length b.bm) + 1)
 (* Ball of [target]: every node strictly closer to [target] than
    [target]'s landmark, packed as id-sorted members with parallel
    distances and predecessors in the shortest-path tree rooted at
-   [target] — the one representation both the typed face and the
-   compiled fast path read. *)
+   [target] — the one representation both the route oracles and the
+   compiled forward read. *)
 let ball t target =
   (* Filled lazily from route calls, possibly inside pool tasks: the memo
      serializes the table, and each fill gets its own scratch workspace
@@ -155,77 +155,6 @@ module D = Core.Dataplane
 
 let ttl_factor = 4
 
-(* Per-hop S4 forwarding. Headers are set up by the source: direct label
-   route when it already knows the destination ([Carry]), else a [Steer]
-   leg toward the resolution owner (first packet) or the destination's
-   landmark (later packets). Any node whose cluster (or landmark table)
-   holds the destination diverts — the per-hop form of the oracle's
-   to-destination shortcutting; every such route is a shortest path to the
-   destination, so walk length equals the oracle's even when the diversion
-   points differ. *)
-
-(* Waypoint reached with no labels left: this node resolves the next leg.
-   At the destination's landmark the explicit descent is written; at the
-   resolution owner the packet is steered onward to that landmark. *)
-let steer_arrival t (h : D.header) ~at:u =
-  let dst = h.D.dst in
-  let lm = t.landmarks.Core.Landmarks.nearest.(dst) in
-  if u = lm then
-    match Core.Landmark_trees.path_from t.trees ~lm dst with
-    | _ :: (next :: rest) ->
-        D.Rewrite
-          ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-            next,
-            D.Address_rewrite )
-    | _ -> D.Drop D.No_route
-  else
-    match Core.Landmark_trees.path_to t.trees u ~lm with
-    | _ :: (next :: rest) ->
-        D.Rewrite
-          ({ h with D.labels = rest; waypoint = lm }, next, D.Address_rewrite)
-    | _ -> D.Drop D.No_route
-
-let forward t (h : D.header) ~at:u =
-  let dst = h.D.dst in
-  if u = dst then D.Deliver
-  else begin
-    (* disco-lint: allow L7 per-decision closure for the shortcut check *)
-    let divert () =
-      (* disco-lint: allow L7 L9 the local-cluster lookup builds the candidate route (S4 shortcutting); raises only on control-plane-impossible states *)
-      match knows t u dst with
-      | Some (_ :: (_ :: _ as direct)) when direct <> h.D.labels -> (
-          match direct with
-          | next :: rest ->
-              (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-              Some
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                (D.Rewrite
-                   (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                   ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-                     next,
-                     D.Shortcut_divert ))
-          | [] -> None)
-      | _ -> None
-    in
-    match h.D.phase with
-    | D.Carry | D.Steer _ -> (
-        match divert () with
-        | Some d -> d
-        | None -> (
-            match h.D.labels with
-            | next :: rest ->
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-            | [] -> (
-                match h.D.phase with
-                (* disco-lint: allow L7 L9 the resolver writes the onward route (one allocation at the steering waypoint); raises only on control-plane-impossible states *)
-                | D.Steer _ -> steer_arrival t h ~at:u
-                | _ -> D.Drop D.No_route)))
-    | D.Seek _ | D.Greedy | D.Fallback ->
-        (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-        D.Drop (D.Protocol_error "s4: foreign header phase")
-  end
-
 let carry_header ~dst path =
   match path with
   | _ :: rest -> { (D.plain ~dst D.Carry) with D.labels = rest }
@@ -274,15 +203,23 @@ let first_header t ~src ~dst =
     end
   end
 
-(* --- compiled fast path ---------------------------------------------------
+(* --- compiled forward -----------------------------------------------------
 
-   [forward] flattened for {!Dataplane.fast_walk}: landmark trees become
-   per-root parent arrays ([flm]), and each destination's packed ball is
-   shared as-is with the typed face through the memo ([fball]), both
-   primed per flow.  The per-hop shortcut check is then a binary search
-   plus parent walks; mirrors [forward] decision for decision, with the
-   typed path's Invalid_argument on an unreachable landmark tree mapped
-   to the protocol verdict. *)
+   Per-hop S4 forwarding for {!Dataplane.fast_walk}.  Headers are set up
+   by the source: a direct label route when it already knows the
+   destination (Carry), else a Steer leg toward the resolution owner
+   (first packet) or the destination's landmark (later packets).  A Steer
+   waypoint reached with no labels left resolves the next leg: the
+   explicit descent at the destination's landmark, the onward leg to that
+   landmark at the resolution owner.  Any node whose cluster (or landmark
+   table) holds the destination diverts — the per-hop form of the
+   oracle's to-destination shortcutting; every such route is a shortest
+   path, so walk length equals the oracle's even when the diversion
+   points differ.  Landmark trees become per-root parent arrays ([flm]),
+   and each destination's packed ball is shared as-is through the memo
+   ([fball]), both primed per flow; the shortcut check is a binary search
+   plus parent walks, and an unreachable landmark tree is a protocol
+   verdict. *)
 
 let empty_ball = { bm = [||]; bd = [||]; bp = [||] }
 
@@ -358,7 +295,7 @@ let fast_arrival f (pkt : D.packet) u dst m =
         pkt.D.pway <- -1;
         D.route_next pkt
       end
-      else D.fast_protocol (* unreachable: the typed path raises *)
+      else D.fast_protocol (* unreachable: a landmark tree reaches every node *)
     end
     else if D.route_chain_ok parents u lm then begin
       let _cnt = D.route_fill_up pkt parents u lm in
@@ -378,8 +315,8 @@ let fast_step f (pkt : D.packet) u =
     else if f.fis_lm.(dst) then begin
       (* Landmark destination: every node diverts onto the tree route
          (when the remaining labels already equal it, the rewrite is the
-         identity — same next hop, same tail — so always diverting
-         matches the typed guard). *)
+         identity — same next hop, same tail — so always diverting is
+         safe). *)
       let parents = f.flm.(dst) in
       if Array.length parents = 0 then D.fast_protocol
       else if D.route_chain_ok parents u dst then begin
@@ -388,7 +325,7 @@ let fast_step f (pkt : D.packet) u =
         pkt.D.pway <- -1;
         D.route_next pkt
       end
-      else D.fast_protocol (* unreachable: typed [knows] raises *)
+      else D.fast_protocol (* unreachable: a landmark tree reaches every node *)
     end
     else begin
       let b = f.fball.(dst) in

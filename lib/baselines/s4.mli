@@ -31,8 +31,8 @@ val radius : t -> int -> float
 
 type ball = { bm : int array; bd : float array; bp : int array }
 (** A target's ball packed flat: id-sorted members with parallel distances
-    and rootward predecessors — the one representation the typed face and
-    the compiled fast path both read. *)
+    and rootward predecessors — the one representation the route oracles
+    and the compiled forward both read. *)
 
 val ball : t -> int -> ball
 (** Ball of a target (one truncated Dijkstra, memoised). Always contains
@@ -61,18 +61,6 @@ val route_first : t -> src:int -> dst:int -> int list
 val ttl_factor : int
 (** TTL budget as a multiple of [n] (4). *)
 
-val forward :
-  t ->
-  Disco_core.Dataplane.header ->
-  at:int ->
-  Disco_core.Dataplane.decision
-(** One forwarding decision at node [at]: divert if the node's cluster or
-    landmark table holds the destination, else consume a label; a
-    [Steer] waypoint (resolution owner, then the destination's landmark)
-    rewrites the next leg on arrival. Walks agree with the route oracles
-    on delivery and weighted length (diversion points may differ — every
-    divert rides a shortest path). *)
-
 val first_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 (** First packet: explicit route if the source knows the destination,
     else a [Steer] leg toward the resolution owner of [h(name_dst)]. *)
@@ -100,7 +88,7 @@ val state_bytes :
     next hop) rows for cluster and landmark routes, one word per label,
     16 bytes per resolution entry. *)
 
-(** {2 Compiled fast path} *)
+(** {2 Compiled forward} *)
 
 type fast
 (** Landmark trees as parent arrays and destination balls as sorted
@@ -112,5 +100,9 @@ val fast_prime : fast -> src:int -> dst:int -> unit
 (** Force the flow's landmark tree(s) and the destination's ball. *)
 
 val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
-(** One zero-alloc decision, mirroring {!forward} exactly (shortcut
-    diverts included). *)
+(** One zero-alloc decision at node [u]: divert if the node's cluster or
+    landmark table holds the destination, else consume a label; a Steer
+    waypoint (resolution owner, then the destination's landmark) loads
+    the next leg on arrival.  Walks agree with the route oracles on
+    delivery and weighted length (diversion points may differ — every
+    divert rides a shortest path). *)

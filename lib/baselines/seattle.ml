@@ -86,45 +86,18 @@ module D = Disco_core.Dataplane
 
 let ttl_factor = 4
 
-(* SEATTLE's data plane has no shortcutting: packets follow the exact
+(* --- compiled forward -----------------------------------------------------
+
+   SEATTLE's data plane has no shortcutting: packets follow the exact
    label route the source's link-state table produced (so walks equal the
    oracle node for node). A first packet steers to the resolver, which
    looks the destination up in its directory share and writes the onward
    route from its own table. While steering, the packet is addressed to
    the resolver — a node it rides through does not inspect the inner
-   destination, so it only delivers in [Carry] (matching the oracle,
-   whose resolver detour may pass through the destination). *)
-let forward t (h : D.header) ~at:u =
-  (* disco-lint: allow L7 the scrutinee pairs phase and labels: per-decision by design *)
-  match (h.D.phase, h.D.labels) with
-  | D.Carry, _ when u = h.D.dst -> D.Deliver
-  | (D.Carry | D.Steer _), next :: rest ->
-      (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-      D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-  | D.Carry, [] -> D.Drop D.No_route
-  | D.Steer _, [] -> (
-        (* At the resolver: its directory share holds the destination. *)
-        (* disco-lint: allow L7 L9 the resolver writes the onward route from its table (one allocation at the waypoint); raises only on control-plane-impossible states *)
-        match shortest t ~src:u ~dst:h.D.dst with
-        | _ :: (next :: rest) ->
-            (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-            D.Rewrite
-              (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-              ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-                next,
-                D.Address_rewrite )
-        | _ -> D.Drop D.No_route)
-    | (D.Seek _ | D.Greedy | D.Fallback), _ ->
-        (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-        D.Drop (D.Protocol_error "seattle: foreign header phase")
-
-(* --- compiled fast path ---------------------------------------------------
-
-   The forward above, flattened for {!Dataplane.fast_walk}: link-state
-   trees become parent arrays indexed by root ([ftrees], primed per flow),
-   and the hop body is array indexing only.  Mirrors [forward] decision
-   for decision — including the no-deliver-while-steering rule — which
-   disco-check's fast≡typed differential enforces. *)
+   destination, so it only delivers in Carry (matching the oracle, whose
+   resolver detour may pass through the destination).  Link-state trees
+   are parent arrays indexed by root ([ftrees], primed per flow), and the
+   hop body is array indexing only. *)
 
 type fast = {
   fsea : t;

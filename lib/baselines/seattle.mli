@@ -33,19 +33,10 @@ val state_bytes : t -> int -> float
 val ttl_factor : int
 (** TTL budget as a multiple of [n] (4). *)
 
-val forward :
-  t ->
-  Disco_core.Dataplane.header ->
-  at:int ->
-  Disco_core.Dataplane.decision
-(** Consume the explicit label route; a first packet's [Steer] leg ends at
-    the resolver, which writes the onward route from its own link-state
-    table. No shortcutting — walks equal the route oracles node for node. *)
-
 val first_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 val later_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 
-(** {2 Compiled fast path} *)
+(** {2 Compiled forward} *)
 
 type fast
 (** Link-state trees flattened into per-root parent arrays for the
@@ -58,5 +49,7 @@ val fast_prime : fast -> src:int -> dst:int -> unit
     {!fast_step} never fills a cache on the hop loop. *)
 
 val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
-(** One zero-alloc decision, mirroring {!forward} exactly (the fast≡typed
-    differential's contract). *)
+(** One zero-alloc decision: consume the explicit label route; a first
+    packet's Steer leg ends at the resolver, which writes the onward route
+    from its own link-state tree. No shortcutting — walks equal the route
+    oracles node for node. *)

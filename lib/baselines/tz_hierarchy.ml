@@ -211,59 +211,6 @@ module D = Disco_core.Dataplane
 
 let ttl_factor = 4
 
-(* Per-hop TZ forwarding: the header carries the routing pivot found by
-   the source's climb; nodes forward up the pivot's shortest-path tree
-   ([Steer] with no labels — each hop is a local parent lookup), and the
-   pivot itself writes the explicit descent to the destination. While
-   climbing, the packet is addressed to the pivot, so a node it rides
-   through does not deliver even if it is the destination (the oracle's
-   route may cross the destination on the way up); only the pivot itself
-   and the [Carry] descent deliver. Walks equal {!route} node for node. *)
-let forward t (h : D.header) ~at:u =
-  let dst = h.D.dst in
-  match h.D.phase with
-    | D.Steer _ ->
-        let w = h.D.waypoint in
-        if w < 0 then D.Drop D.No_route (* no common pivot: disconnected *)
-        else begin
-          (* disco-lint: allow L7 L9 lazy pivot-tree lookup (memoized per pivot, amortized over packets); raises only on control-plane-impossible states *)
-          let sp = tree t w in
-          if u = w then begin
-            if u = dst then D.Deliver
-            else
-            match
-              (* disco-lint: allow L7 L9 the pivot writes the onward route (one allocation at the waypoint); raises only on control-plane-impossible states *)
-              Dijkstra.path_of_parents
-                (* disco-lint: allow L7 parent-accessor closure for the one-time route write at the pivot *)
-                ~parent:(fun x -> sp.Dijkstra.parent.(x))
-                ~src:w ~dst
-            with
-            | _ :: (next :: rest) ->
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                D.Rewrite
-                  (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                  ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-                    next,
-                    D.Address_rewrite )
-            | _ -> D.Drop D.No_route
-          end
-          else begin
-            match sp.Dijkstra.parent.(u) with
-            | -1 -> D.Drop D.No_route
-            | p -> D.Forward p
-          end
-        end
-    | D.Carry when u = dst -> D.Deliver
-    | D.Carry -> (
-        match h.D.labels with
-        | next :: rest ->
-            (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-            D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-        | [] -> D.Drop D.No_route)
-    | D.Seek _ | D.Greedy | D.Fallback ->
-        (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-        D.Drop (D.Protocol_error "tz: foreign header phase")
-
 let packet_header t ~src ~dst =
   if src = dst then D.plain ~dst D.Carry
   else begin
@@ -271,13 +218,18 @@ let packet_header t ~src ~dst =
     { (D.plain ~dst (D.Steer { tried_proxy = false })) with D.waypoint = w }
   end
 
-(* --- compiled fast path ---------------------------------------------------
+(* --- compiled forward -----------------------------------------------------
 
-   [forward] flattened for {!Dataplane.fast_walk}: the carried pivot's
-   SSSP becomes a parent array ([ftrees], primed per flow), climbing is
-   one array load per hop, and the pivot's descent write is a
-   {!Dataplane.route_fill_down}.  Mirrors [forward] decision for
-   decision (fast≡typed differential). *)
+   Per-hop TZ forwarding: the header carries the routing pivot found by
+   the source's climb; nodes forward up the pivot's shortest-path tree
+   (Steer with no labels — each hop is one parent-array load), and the
+   pivot itself writes the explicit descent to the destination
+   ({!Dataplane.route_fill_down}). While climbing, the packet is
+   addressed to the pivot, so a node it rides through does not deliver
+   even if it is the destination (the oracle's route may cross the
+   destination on the way up); only the pivot itself and the Carry
+   descent deliver. Walks equal [route] node for node.  The carried
+   pivot's SSSP becomes a parent array ([ftrees], primed per flow). *)
 
 type fast = {
   ftz : t;

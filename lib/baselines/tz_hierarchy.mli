@@ -54,20 +54,11 @@ val in_bunch : t -> node:int -> target:int -> bool
 val ttl_factor : int
 (** TTL budget as a multiple of [n] (4). *)
 
-val forward :
-  t ->
-  Disco_core.Dataplane.header ->
-  at:int ->
-  Disco_core.Dataplane.decision
-(** One forwarding decision: climb the carried pivot's shortest-path tree
-    (each hop a local parent lookup), then the pivot writes the explicit
-    descent. Walking {!forward} reproduces {!route} node for node. *)
-
 val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 (** The header the source emits: the routing pivot of the (src, dst) climb
     as the [Steer] waypoint (-1 when the pair is disconnected). *)
 
-(** {2 Compiled fast path} *)
+(** {2 Compiled forward} *)
 
 type fast
 (** Pivot trees flattened into parent arrays for the zero-alloc walker. *)
@@ -78,4 +69,6 @@ val fast_prime : fast -> src:int -> dst:int -> unit
 (** Force the (src, dst) routing pivot's tree for one flow. *)
 
 val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
-(** One zero-alloc decision, mirroring {!forward} exactly. *)
+(** One zero-alloc decision: climb the carried pivot's shortest-path tree
+    (each hop a local parent lookup), then the pivot writes the explicit
+    descent. Walks reproduce {!route} node for node. *)

@@ -6,7 +6,7 @@ module Core = Disco_core
 module Packed = Core.Packed
 
 (* Build-time staging only: converged entries are frozen into the 4-stride
-   CSR below, which both the typed face and the compiled fast path read. *)
+   CSR below, which both the route oracle and the compiled forward read. *)
 type entry = { ea : int; eb : int; next_a : int; next_b : int }
 
 type t = {
@@ -400,7 +400,7 @@ let build ?(r = 4) ?names ~rng graph =
     fallbacks = !fallbacks;
   }
 
-(* The typed face's readers over the frozen CSR: same scan semantics as the
+(* The route oracle's readers over the frozen CSR: same scan semantics as the
    staging-list helpers above, realised as backward 4-stride block scans
    (newest entry first). *)
 
@@ -460,58 +460,22 @@ module D = Core.Dataplane
    decisions (matching [greedy_route]'s TTL). *)
 let ttl_factor = 8
 
-(* Per-hop greedy forwarding: exactly one [greedy_route] step. The packet
-   carries the committed endpoint ([anchor]) and the monotone bound on the
-   best virtual distance ever committed ([vbound]); [Int64.minus_one] (max
-   unsigned) is the no-bound sentinel in both this header field and the
-   route oracle. The 8 [extra_bytes] are the destination's virtual id. *)
-let forward t (h : D.header) ~at:u =
-  let dst = h.D.dst in
-  (* disco-lint: allow L7 trivial usability predicate shared with the oracle's signature *)
-  let usable _ = true in
-  if u = dst then D.Deliver
-  else if Graph.has_edge t.graph u dst then D.Forward dst
-  else begin
-    let committed = if h.D.anchor = u then -1 else h.D.anchor in
-    let best, best_d =
-      (* disco-lint: allow L7 endpoint scan recomputed per node from the carried bound is the VRR design *)
-      pk_best_endpoint t ~usable u ~dst ~bound:h.D.vbound
-    in
-    let target =
-      match best with
-      | Some e -> Some e
-      | None -> if committed >= 0 then Some committed else None
-    in
-    match target with
-    | None -> D.Drop D.No_route
-    | Some e -> (
-        (* disco-lint: allow L7 corridor step recomputed per node is the VRR design *)
-        match pk_next_toward t ~usable u e with
-        | None -> D.Drop D.No_route (* broken corridor *)
-        | Some hop ->
-            if e = h.D.anchor && Int64.equal best_d h.D.vbound then
-              D.Forward hop
-            else
-              (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-              D.Rewrite
-                (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-                ({ h with D.anchor = e; vbound = best_d }, hop, D.Greedy_commit e))
-  end
-
 let packet_header (_ : t) ~src:_ ~dst =
   { (D.plain ~dst D.Greedy) with D.extra_bytes = 8 }
 
-(* --- compiled fast path ---------------------------------------------------
+(* --- compiled forward -----------------------------------------------------
 
-   [forward] flattened for {!Dataplane.fast_walk}: virtual ids split into
-   unsigned 32-bit halves ([fvhi]/[fvlo]); the entry table needs no
-   flattening of its own any more — the fast path adopts the frozen CSR
+   Per-hop greedy forwarding for {!Dataplane.fast_walk}: exactly one
+   [greedy_route] step. The packet carries the committed endpoint
+   ([panchor]) and the monotone bound on the best virtual distance ever
+   committed ([pvb_hi]/[pvb_lo]); max unsigned is the no-bound sentinel
+   in both the packet and the route oracle. The header's 8 [extra_bytes]
+   are the destination's virtual id.  Virtual ids split into unsigned
+   32-bit halves ([fvhi]/[fvlo]); the fast path adopts the frozen CSR
    slabs ([feoff]/[fent]) directly, scanning 4-stride blocks backward
-   exactly like the typed face, so the endpoint scan and the corridor
-   lookup are array loads and the ring metric is borrow arithmetic on int
-   halves — no Int64 ever boxes on the hop loop. Mirrors [forward]
-   decision for decision, including the committed endpoint / monotone
-   bound discipline. *)
+   exactly like the oracle's [pk_best_endpoint], so the endpoint scan and
+   the corridor lookup are array loads and the ring metric is borrow
+   arithmetic on int halves — no Int64 ever boxes on the hop loop. *)
 
 type fast = {
   fg : Graph.t;
@@ -536,7 +500,7 @@ let fast_prime (_ : fast) ~src:_ ~dst:_ = ()
 
 (* [best_endpoint]'s consider: ring_distance vids.(e) vids.(dst) in
    unsigned halves (64-bit subtract with borrow, negate, unsigned min
-   with the typed tie rule), then strict unsigned improvement over the
+   with [Hash_space.ring_distance]'s tie rule), then strict unsigned improvement over the
    best so far ([pis.(1)]=hi, [pis.(2)]=lo; candidate in [pis.(0)]). *)
 let fast_consider f (pkt : D.packet) u e =
   if e <> u then begin
@@ -566,7 +530,7 @@ let rec fast_scan_nbrs f pkt u i deg =
   end
 
 (* Backward over [u]'s 4-stride blocks: newest entry first, ea arm before
-   eb arm — the typed scan order exactly. *)
+   eb arm — [pk_best_endpoint]'s scan order exactly. *)
 let rec fast_scan_entries f pkt u j lo =
   if j >= lo then begin
     fast_consider f pkt u f.fent.(j);

@@ -35,16 +35,6 @@ val ttl_factor : int
 (** TTL budget as a multiple of [n] (8, matching {!route}'s internal TTL —
     VRR corridors can wander well past the diameter). *)
 
-val forward :
-  t ->
-  Disco_core.Dataplane.header ->
-  at:int ->
-  Disco_core.Dataplane.decision
-(** One greedy step at node [at], consulting only its pset, its stored
-    path entries and the header's committed endpoint/bound. Walking
-    {!forward} from [src] reproduces {!route} exactly (same path, same
-    delivery verdict). *)
-
 val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 (** The header a source emits: phase {!Dataplane.Greedy}, no commitment
     yet, the destination's virtual id as 8 payload bytes. *)
@@ -68,16 +58,18 @@ val ring_distance_ok : t -> bool
 (** Sanity invariant for tests: every node's vset equals its true ring
     neighborhood. *)
 
-(** {2 Compiled fast path} *)
+(** {2 Compiled forward} *)
 
 type fast
 (** Virtual ids as unsigned 32-bit halves over the same frozen CSR entry
-    slabs the typed face reads (shared, not copied), for the zero-alloc
+    slabs the route oracle reads (shared, not copied), for the zero-alloc
     walker (no Int64 on the hop loop). *)
 
 val compile : t -> fast
 val fast_prime : fast -> src:int -> dst:int -> unit
 
 val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
-(** One zero-alloc decision, mirroring {!forward} exactly (same endpoint
-    scan order, same committed-endpoint/monotone-bound discipline). *)
+(** One zero-alloc greedy step at node [u], consulting only its pset, its
+    stored path entries and the packet's committed endpoint/bound.
+    Walking it from [src] reproduces {!route} exactly (same path, same
+    delivery verdict). *)

@@ -59,13 +59,20 @@ let validate g ~src ~dst path =
       in
       walk first 0.0 rest
 
+(* One data-plane walk, as the checks see it. *)
+type walked = {
+  w_path : int list;  (* nodes traversed, source first *)
+  w_delivered : bool;
+  w_drop : int;  (* a Dataplane drop code *)
+}
+
 type pair_result = {
   src : int;
   dst : int;
   first : int list option;  (** oracle's first-packet route *)
   later : int list option;  (** oracle's post-handshake route *)
-  walk_first : Dataplane.trace;  (** data plane's first packet *)
-  walk_later : Dataplane.trace;
+  walk_first : walked;  (** data plane's first packet *)
+  walk_later : walked;
   first_fallback : bool;
       (** the first-packet walk detoured via the resolution database *)
 }
@@ -77,30 +84,35 @@ type measurement = {
 }
 
 (* Each pair is measured twice over: the closed-form oracle route and a
-   hop-by-hop walk of the scheme's data plane. The runner then holds the
-   two against each other (check_walk) on top of the oracle-side
-   invariants. *)
+   hop-by-hop walk of the scheme's compiled data plane. The runner then
+   holds the two against each other (check_walk) on top of the
+   oracle-side invariants. *)
 let measure (packed : Protocol.packed) tb pairs =
   let module R = (val packed : Protocol.ROUTER) in
   let tel = Telemetry.create () in
   let rt = R.build tb in
   let graph = tb.Testbed.graph in
+  let walker = Walk.compile (module R) rt ~graph in
+  let sc = Walk.scratch graph in
+  let walk kind ~src ~dst =
+    Walk.run walker sc ~tel kind ~src ~dst;
+    let w =
+      {
+        w_path = Walk.path sc;
+        w_delivered = Walk.delivered sc;
+        w_drop = Walk.drop sc;
+      }
+    in
+    (w, Walk.fell_back sc)
+  in
   let results =
     List.map
       (fun (src, dst) ->
         let first = R.oracle_first rt ~tel ~src ~dst in
         let later = R.oracle_later rt ~tel ~src ~dst in
-        let walk_first = Walk.first_trace (module R) rt ~tel ~graph ~src ~dst in
-        let walk_later = Walk.later_trace (module R) rt ~tel ~graph ~src ~dst in
-        {
-          src;
-          dst;
-          first;
-          later;
-          walk_first;
-          walk_later;
-          first_fallback = Walk.fell_back walk_first;
-        })
+        let walk_first, first_fallback = walk Walk.First ~src ~dst in
+        let walk_later, _ = walk Walk.Later ~src ~dst in
+        { src; dst; first; later; walk_first; walk_later; first_fallback })
       pairs
   in
   let n = Graph.n graph in
@@ -157,158 +169,58 @@ let check_phase ~violations ~scheme ~spec ~covered g ~phase ~oracle pr route
    oracle's node sequence and the rest (the shortcut schemes) must land on
    the same weighted length — their walks may divert from knowledge at a
    different-but-equivalent point, but every divert rides a shortest path.
-   A [Protocol_error] drop is a bug regardless of what the oracle says:
-   the forward function broke the data-plane contract itself. *)
-let check_walk ~violations ~scheme ~spec g ~phase pr ~oracle_route
-    (tr : Dataplane.trace) =
+   A protocol-error drop is a bug regardless of what the oracle says: the
+   compiled forward broke the data-plane contract itself. *)
+let check_walk ~violations ~scheme ~spec g ~phase pr ~oracle_route (w : walked) =
   let add kind = violations := { Violation.scheme; kind } :: !violations in
   let src = pr.src and dst = pr.dst in
-  match tr.Dataplane.dropped with
-  | Some (Dataplane.Protocol_error _ as r) ->
-      add
-        (Violation.Dataplane_error
-           { phase; src; dst; detail = Dataplane.reason_to_string r })
-  | _ -> (
-      match (oracle_route, tr.Dataplane.delivered) with
-      | None, false -> ()
-      | None, true ->
-          add
-            (Violation.Walk_divergence
-               { phase; src; dst; detail = "walk delivered but the oracle found no route" })
-      | Some _, false ->
-          let why =
-            match tr.Dataplane.dropped with
-            | Some r -> Dataplane.reason_to_string r
-            | None -> "not delivered"
-          in
+  let why = Dataplane.drop_to_string w.w_drop in
+  if w.w_drop = Dataplane.drop_protocol then
+    add (Violation.Dataplane_error { phase; src; dst; detail = why })
+  else
+    match (oracle_route, w.w_delivered) with
+    | None, false -> ()
+    | None, true ->
+        add
+          (Violation.Walk_divergence
+             { phase; src; dst; detail = "walk delivered but the oracle found no route" })
+    | Some _, false ->
+        add
+          (Violation.Walk_divergence
+             {
+               phase;
+               src;
+               dst;
+               detail = Printf.sprintf "oracle routes but the walk dropped (%s)" why;
+             })
+    | Some path, true ->
+        (* The walker validated every hop as a graph edge; both lengths
+           exist. *)
+        let len_walk = Dijkstra.path_length g w.w_path in
+        let len_oracle = Dijkstra.path_length g path in
+        if spec.Spec.walk_exact && w.w_path <> path then
           add
             (Violation.Walk_divergence
                {
                  phase;
                  src;
                  dst;
-                 detail = Printf.sprintf "oracle routes but the walk dropped (%s)" why;
+                 detail =
+                   Printf.sprintf "walk path differs from the oracle's (%d vs %d hops)"
+                     (List.length w.w_path - 1)
+                     (List.length path - 1);
                })
-      | Some path, true ->
-          (* The walker validated every hop as a graph edge; both lengths
-             exist. *)
-          let len_walk = Dijkstra.path_length g tr.Dataplane.path in
-          let len_oracle = Dijkstra.path_length g path in
-          if spec.Spec.walk_exact && tr.Dataplane.path <> path then
-            add
-              (Violation.Walk_divergence
-                 {
-                   phase;
-                   src;
-                   dst;
-                   detail =
-                     Printf.sprintf
-                       "walk path differs from the oracle's (%d vs %d hops)"
-                       (List.length tr.Dataplane.path - 1)
-                       (List.length path - 1);
-                 })
-          else if Float.abs (len_walk -. len_oracle) > eps then
-            add
-              (Violation.Walk_divergence
-                 {
-                   phase;
-                   src;
-                   dst;
-                   detail =
-                     Printf.sprintf "walk length %.6f, oracle length %.6f"
-                       len_walk len_oracle;
-                 }))
-
-(* Fast ≡ typed, per scheme: encode the scheme's own headers through the
-   wire codec, route them with the compiled forward over one scratch
-   packet, and hold the zero-alloc walk to the typed walk's exact hop
-   sequence and verdict.  The one sanctioned difference is loop
-   detection, which the fast walker doesn't do: where the typed walk
-   reports [Loop_detected], the fast walk must merely not deliver (it
-   replays the cycle until TTL). *)
-let check_fastpath ~violations ~scheme ~spec (packed : Protocol.packed) tb m =
-  if spec.Spec.fastpath then begin
-    let module R = (val packed : Protocol.ROUTER) in
-    let tel = Telemetry.create () in
-    let rt = R.build tb in
-    let plan = R.compile rt in
-    let g = tb.Testbed.graph in
-    let ttl = R.ttl_factor * Graph.n g in
-    let pkt = Dataplane.packet_create g in
-    let trail = Array.make (ttl + 1) (-1) in
-    let add kind = violations := { Violation.scheme; kind } :: !violations in
-    let trail_path phops =
-      let rec collect i acc = if i < 0 then acc else collect (i - 1) (trail.(i) :: acc) in
-      collect phops []
-    in
-    let check_one ~phase ~src ~dst header (typed : Dataplane.trace) =
-      let size = Dataplane.encoded_size g ~src header in
-      let buf = Bytes.create size in
-      let written = Dataplane.encode_header g ~src header buf ~pos:0 in
-      if written <> size then
-        add
-          (Violation.Fastpath_divergence
-             {
-               phase;
-               src;
-               dst;
-               detail =
-                 Printf.sprintf "codec size mismatch: sized %d, wrote %d" size written;
-             })
-      else begin
-        Dataplane.decode_into g pkt buf ~pos:0 ~src;
-        Dataplane.fast_walk g ~step:plan.Dataplane.fstep pkt ~src ~ttl ~trail;
-        let fast_verdict () =
-          if pkt.Dataplane.pdelivered then "delivered"
-          else Dataplane.drop_to_string pkt.Dataplane.pdrop
-        in
-        let diverge detail = add (Violation.Fastpath_divergence { phase; src; dst; detail }) in
-        let require_same_path () =
-          if trail_path pkt.Dataplane.phops <> typed.Dataplane.path then
-            diverge
-              (Printf.sprintf "hop sequences differ (fast %d hops, typed %d hops)"
-                 pkt.Dataplane.phops
-                 (List.length typed.Dataplane.path - 1))
-        in
-        match typed.Dataplane.dropped with
-        | None ->
-            if not pkt.Dataplane.pdelivered then
-              diverge
-                (Printf.sprintf "typed walk delivered, fast walk %s" (fast_verdict ()))
-            else require_same_path ()
-        | Some Dataplane.Loop_detected ->
-            if pkt.Dataplane.pdelivered then
-              diverge "typed walk looped, fast walk delivered"
-        | Some Dataplane.Ttl_expired ->
-            if pkt.Dataplane.pdrop <> Dataplane.drop_ttl then
-              diverge
-                (Printf.sprintf "typed walk expired its TTL, fast walk %s"
-                   (fast_verdict ()))
-            else require_same_path ()
-        | Some Dataplane.No_route ->
-            if pkt.Dataplane.pdrop <> Dataplane.drop_no_route then
-              diverge
-                (Printf.sprintf "typed walk dropped (no route), fast walk %s"
-                   (fast_verdict ()))
-            else require_same_path ()
-        | Some (Dataplane.Protocol_error _) ->
-            if pkt.Dataplane.pdrop <> Dataplane.drop_protocol then
-              diverge
-                (Printf.sprintf "typed walk hit a protocol error, fast walk %s"
-                   (fast_verdict ()))
-      end
-    in
-    List.iter
-      (fun pr ->
-        plan.Dataplane.fprime ~src:pr.src ~dst:pr.dst;
-        check_one ~phase:"first" ~src:pr.src ~dst:pr.dst
-          (R.first_header rt ~tel ~src:pr.src ~dst:pr.dst)
-          pr.walk_first;
-        check_one ~phase:"later" ~src:pr.src ~dst:pr.dst
-          (R.later_header rt ~tel ~src:pr.src ~dst:pr.dst)
-          pr.walk_later)
-      m.results
-  end
+        else if Float.abs (len_walk -. len_oracle) > eps then
+          add
+            (Violation.Walk_divergence
+               {
+                 phase;
+                 src;
+                 dst;
+                 detail =
+                   Printf.sprintf "walk length %.6f, oracle length %.6f" len_walk
+                     len_oracle;
+               })
 
 let check_states ~violations ~scheme ~spec ~n states =
   let add kind = violations := { Violation.scheme; kind } :: !violations in
@@ -340,14 +252,7 @@ let check_states ~violations ~scheme ~spec ~n states =
 
 let routes_of m = List.map (fun pr -> (pr.first, pr.later)) m.results
 
-let walks_of m =
-  List.map
-    (fun pr ->
-      ( pr.walk_first.Dataplane.path,
-        pr.walk_first.Dataplane.delivered,
-        pr.walk_later.Dataplane.path,
-        pr.walk_later.Dataplane.delivered ))
-    m.results
+let walks_of m = List.map (fun pr -> (pr.walk_first, pr.walk_later)) m.results
 
 let check_determinism ~violations ~scheme m m' =
   let add what =
@@ -356,8 +261,8 @@ let check_determinism ~violations ~scheme m m' =
   if routes_of m <> routes_of m' then add "routes";
   if walks_of m <> walks_of m' then add "data-plane walks";
   if m.states <> m'.states then add "state tables";
-  (* The full snapshot: the new walk/hop/rewrite/byte counters must
-     reproduce bit for bit along with the oracle-side ones. *)
+  (* The full snapshot: the walk/hop counters must reproduce bit for bit
+     along with the oracle-side ones. *)
   if Telemetry.snapshot m.tel <> Telemetry.snapshot m'.tel then
     add "telemetry counters"
 
@@ -467,7 +372,6 @@ let run ?routers ?(spec_of = Spec.find) (sc : Scenario.t) =
           m.results oracles;
         check_states ~violations ~scheme ~spec ~n m.states;
         check_determinism ~violations ~scheme m m';
-        check_fastpath ~violations ~scheme ~spec packed tb m;
         (scheme, m))
       routers
   in

@@ -2,23 +2,23 @@
     violations.
 
     For each scheme the runner builds converged state over the scenario's
-    testbed, measures the scenario's workload through both of the scheme's
-    faces — the closed-form oracle routes and hop-by-hop walks of its data
-    plane — and checks:
+    testbed, measures the scenario's workload two ways — the closed-form
+    oracle routes and hop-by-hop walks of its compiled data plane — and
+    checks:
 
     - every returned route is a real path from src to dst in the graph;
     - delivery, for schemes that guarantee it (the graph is connected);
     - stretch against a full-Dijkstra oracle: never below 1, and within
       the scheme's bound whenever its preconditions hold (coverage for
       Disco/NDDisco, non-fallback pairs for Disco's first packet);
-    - walk ≡ oracle: the data-plane walk and the oracle agree on the
-      delivery verdict; delivered walks reproduce the oracle's node
-      sequence ({!Spec.t.walk_exact}) or its weighted length (the
-      shortcut schemes); a walker {!Disco_core.Dataplane.Protocol_error}
-      — non-neighbor hop, misdelivery, refused header — is always a
-      violation. The walker itself enforces TTL-bounded loop-free
-      progress and that [forward] sees nothing but the header and the
-      deciding node;
+    - walk ≡ oracle: the walk of the scheme's compiled data plane
+      ({!Disco_experiments.Walk}) and the oracle agree on the delivery
+      verdict; delivered walks reproduce the oracle's node sequence
+      ({!Spec.t.walk_exact}) or its weighted length (the shortcut
+      schemes); a protocol-error drop — non-neighbor hop, misdelivery,
+      refused header — is always a violation. The walker itself enforces
+      TTL-bounded progress over real links, and the compiled forward sees
+      nothing but the packet and the deciding node's tables;
     - per-node state within the scheme's bound, never negative;
     - bit-exact determinism: a second build from the same scenario must
       reproduce the topology, every route, every walk, every state table

@@ -24,18 +24,12 @@ type t = {
       (** per-node routing-entry bound, slack included *)
   walk_exact : bool;
       (** the data-plane walk must reproduce the oracle's node sequence
-          exactly. True for schemes whose [forward] replays the oracle's
-          decision procedure step for step (path vector, SEATTLE, BVR,
+          exactly. True for schemes whose compiled forward replays the
+          oracle's decision procedure step for step (path vector, SEATTLE, BVR,
           VRR, TZ); false for the shortcut schemes (disco, nddisco, s4),
           whose walks may divert at a different-but-equivalent point —
           there the runner requires equal delivery verdicts and equal
           weighted length instead. *)
-  fastpath : bool;
-      (** run the fast≡typed differential: encode the scheme's headers
-          through the wire codec, route them with the compiled forward
-          ([ROUTER.compile] + [Dataplane.fast_walk]) and require the exact
-          typed hop sequence and delivery/drop verdict (typed loop
-          detection aside). True for every built-in scheme. *)
 }
 
 val sqrt_state_slack : float

@@ -16,7 +16,6 @@ type kind =
   | Churn_violation of { detail : string }
   | Walk_divergence of { phase : string; src : int; dst : int; detail : string }
   | Dataplane_error of { phase : string; src : int; dst : int; detail : string }
-  | Fastpath_divergence of { phase : string; src : int; dst : int; detail : string }
 
 type t = { scheme : string; kind : kind }
 
@@ -47,9 +46,6 @@ let describe_kind = function
   | Dataplane_error { phase; src; dst; detail } ->
       Printf.sprintf "%s-packet data plane errored on %d->%d: %s" phase src
         dst detail
-  | Fastpath_divergence { phase; src; dst; detail } ->
-      Printf.sprintf "%s-packet fast path diverges from the typed walk on %d->%d: %s"
-        phase src dst detail
 
 let describe t = Printf.sprintf "[%s] %s" t.scheme (describe_kind t.kind)
 
@@ -79,7 +75,6 @@ let kind_label = function
   | Churn_violation _ -> "churn-violation"
   | Walk_divergence _ -> "walk-divergence"
   | Dataplane_error _ -> "dataplane-error"
-  | Fastpath_divergence _ -> "fastpath-divergence"
 
 let to_json t =
   Printf.sprintf {|{"scheme":"%s","kind":"%s","detail":"%s"}|} (escape t.scheme)

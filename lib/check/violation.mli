@@ -34,14 +34,9 @@ type kind =
           delivery verdict, on weighted length, or (for [walk_exact]
           schemes) on the node sequence itself *)
   | Dataplane_error of { phase : string; src : int; dst : int; detail : string }
-      (** the walker hit a protocol error: [forward] returned a
+      (** the walker hit a protocol error: the compiled forward returned a
           non-neighbor, delivered away from the destination, or refused
           its own header *)
-  | Fastpath_divergence of { phase : string; src : int; dst : int; detail : string }
-      (** the compiled zero-alloc walk ([ROUTER.compile] + [fast_walk])
-          disagrees with the typed walk: different verdict, drop reason,
-          or hop sequence (typed loop detection aside — the fast walker
-          has none and must merely not deliver there) *)
 
 type t = { scheme : string; kind : kind }
 

@@ -1,12 +1,6 @@
 module Graph = Disco_graph.Graph
 module Bits = Disco_util.Bits
 
-type reason =
-  | Ttl_expired
-  | Loop_detected
-  | No_route
-  | Protocol_error of string
-
 type phase =
   | Seek of { tried_proxy : bool }
   | Steer of { tried_proxy : bool }
@@ -37,65 +31,6 @@ let plain ~dst phase =
     extra_bytes = 0;
   }
 
-type action =
-  | Delivered
-  | Dropped of reason
-  | Direct_route
-  | Group_store_hit
-  | To_group_proxy of int
-  | Resolution_via of int
-  | Shortcut_divert
-  | Address_rewrite
-  | Directory_detour of int
-  | Toward_pivot of int
-  | Label_hop
-  | Hop of int
-  | Greedy_commit of int
-  | Fallback_descent
-
-let reason_to_string = function
-  | Ttl_expired -> "ttl expired"
-  | Loop_detected -> "loop detected"
-  | No_route -> "no route"
-  | Protocol_error what -> "protocol error: " ^ what
-
-let action_to_string = function
-  | Delivered -> "deliver"
-  | Dropped r -> "drop: " ^ reason_to_string r
-  | Direct_route -> "direct route in local tables"
-  | Group_store_hit -> "group store hit: rewriting with destination address"
-  | To_group_proxy w -> Printf.sprintf "forwarding to group proxy %d" w
-  | Resolution_via lm -> Printf.sprintf "resolution fallback via landmark %d" lm
-  | Shortcut_divert -> "to-destination shortcut"
-  | Address_rewrite -> "address learned: explicit label route"
-  | Directory_detour r -> Printf.sprintf "directory detour via %d" r
-  | Toward_pivot w -> Printf.sprintf "toward routing pivot %d" w
-  | Label_hop -> "label hop"
-  | Hop v -> Printf.sprintf "forward to %d" v
-  | Greedy_commit e -> Printf.sprintf "greedy commit toward %d" e
-  | Fallback_descent -> "fallback: descending beacon tree"
-
-type decision =
-  | Forward of int
-  | Rewrite of header * int * action
-  | Deliver
-  | Drop of reason
-
-type step = { at : int; action : action }
-
-type trace = {
-  path : int list;
-  steps : step list;
-  delivered : bool;
-  dropped : reason option;
-  hops : int;
-  rewrites : int;
-  header_bytes_max : int;
-  header_bytes_total : int;
-}
-
-(* Hoisted out of [byte_size] so the per-hop byte accounting does not
-   allocate a fresh closure per call (lint L7). *)
 let rec label_bits_from g u bits = function
   | [] -> bits
   | v :: rest -> label_bits_from g v (bits + Bits.width_for (Graph.degree g u)) rest
@@ -113,164 +48,14 @@ let byte_size ?(name_bytes = 20) g ~at h =
   in
   (bits + 7) / 8
 
-(* Loop detection keys on the exact in-flight state: node id plus every
-   header field, rendered into a string (typed, deterministic — no
-   polymorphic hashing of variants). Revisiting a node with a different
-   header is legal; an identical state can never progress under a
-   deterministic forward function. *)
-let phase_key = function
-  | Seek { tried_proxy } -> if tried_proxy then "S1" else "S0"
-  | Steer { tried_proxy } -> if tried_proxy then "T1" else "T0"
-  | Carry -> "C"
-  | Greedy -> "G"
-  | Fallback -> "F"
+(* --- the data plane ------------------------------------------------------
 
-(* Renders the key into a caller-owned buffer: [walk] keeps one buffer per
-   walk, so a hop pays one short key string (for the seen-table) instead of
-   the former Printf.sprintf + List.map + String.concat chain.  The float
-   bound is keyed by its bit pattern, which is exact. *)
-let add_int_field buf v =
-  Buffer.add_string buf (string_of_int v);
-  Buffer.add_char buf ';'
-
-let state_key_into buf at h =
-  Buffer.clear buf;
-  add_int_field buf at;
-  Buffer.add_string buf (phase_key h.phase);
-  Buffer.add_char buf ';';
-  add_int_field buf h.waypoint;
-  add_int_field buf h.anchor;
-  Buffer.add_string buf (Int64.to_string (Int64.bits_of_float h.fbound));
-  Buffer.add_char buf ';';
-  Buffer.add_string buf (Int64.to_string h.vbound);
-  Buffer.add_char buf ';';
-  add_int_field buf h.extra_bytes;
-  List.iter (fun l -> add_int_field buf l) h.labels;
-  Buffer.contents buf
-
-(* [walk] is hot (the manifest's hop loop) but it is the *instrumented*
-   reference walker: it exists to produce a trace, so the trace recording
-   itself (step list, path list, seen-table) is the product and carries
-   waivers.  What the typed pass holds allocation-free is the per-hop
-   decision machinery: byte accounting (byte_size), the link-membership
-   check (Graph.has_edge), and the degree/width lookups.  The per-walk
-   setup (six closures, five refs, one table, one buffer) is O(1) per
-   walk, not per hop, and is waived as such below.  The planned zero-alloc
-   walker (ROADMAP) will drop the trace and keep the same forward
-   contract. *)
-let walk ?ttl ?name_bytes g ~forward ~src header =
-  let n = Graph.n g in
-  let ttl0 = match ttl with Some t -> t | None -> 4 * n in
-  (* disco-lint: allow L7 per-walk trace accumulators, not per-hop *)
-  let steps = ref [] and path = ref [ src ] in
-  (* disco-lint: allow L7 per-walk counters *)
-  let rewrites = ref 0 in
-  (* disco-lint: allow L7 per-walk counters *)
-  let bytes_max = ref 0 and bytes_total = ref 0 in
-  (* disco-lint: allow L7 per-walk loop-detection table and key buffer *)
-  let seen = Hashtbl.create 64 in
-  (* disco-lint: allow L7 per-walk loop-detection table and key buffer *)
-  let keybuf = Buffer.create 48 in
-  (* disco-lint: allow L7 per-walk closure; the step record and cons are the trace product *)
-  let log at action = steps := { at; action } :: !steps in
-  (* disco-lint: allow L7 per-walk closure over the byte counters *)
-  let account at h =
-    let b = byte_size ?name_bytes g ~at h in
-    if b > !bytes_max then bytes_max := b;
-    bytes_total := !bytes_total + b
-  in
-  (* disco-lint: allow L7 per-walk closure; builds the result trace once *)
-  let finish ~delivered ~dropped =
-    (* disco-lint: allow L7 result construction: one trace record per walk *)
-    let p = List.rev !path in
-    (* disco-lint: allow L7 result construction: one trace record per walk *)
-    let s = List.rev !steps in
-    (* disco-lint: allow L7 result construction: one trace record per walk *)
-    {
-      path = p;
-      steps = s;
-      delivered;
-      dropped;
-      hops = List.length p - 1;
-      rewrites = !rewrites;
-      header_bytes_max = !bytes_max;
-      header_bytes_total = !bytes_total;
-    }
-  in
-  (* disco-lint: allow L7 per-walk closure; drop path, executed at most once *)
-  let fail u r =
-    log u (Dropped r);
-    finish ~delivered:false ~dropped:(Some r)
-  in
-  (* disco-lint: allow L7 per-walk closure pair (go/hop) driving the hop loop *)
-  let rec go u h ttl =
-    if ttl = 0 then fail u Ttl_expired
-    else begin
-      (* disco-lint: allow L7 loop-detection key: one short string per hop into the seen-table *)
-      let key = state_key_into keybuf u h in
-      if Hashtbl.mem seen key then fail u Loop_detected
-      else begin
-        (* disco-lint: allow L7 seen-table insert: loop detection is the walker's contract *)
-        Hashtbl.add seen key ();
-        (* disco-lint: allow L7 the scheme's forward is the function under test; its own hot body is checked separately *)
-        match forward h ~at:u with
-        | Deliver ->
-            if u = h.dst then begin
-              log u Delivered;
-              finish ~delivered:true ~dropped:None
-            end
-            else fail u (Protocol_error "deliver away from the destination")
-        | Drop r -> fail u r
-        | Forward next ->
-            log u (Hop next);
-            hop u h next ttl
-        | Rewrite (h', next, why) ->
-            log u why;
-            incr rewrites;
-            hop u h' next ttl
-      end
-    end
-  (* disco-lint: allow L7 per-walk closure pair (go/hop) driving the hop loop *)
-  and hop u h next ttl =
-    (* The one mechanical check of "forward consults only local state":
-       whatever the node decided, the packet can only cross a real link.
-       has_edge is the allocation-free membership probe (L7): the former
-       edge_weight match boxed a float option on every hop. *)
-    if not (Graph.has_edge g u next) then
-      (* disco-lint: allow L7 protocol-violation diagnostic on the drop path *)
-      fail u (Protocol_error (Printf.sprintf "%d is not a neighbor" next))
-    else begin
-      account u h;
-      (* disco-lint: allow L7 path cons is the trace product *)
-      path := next :: !path;
-      go next h (ttl - 1)
-    end
-  in
-  (* The source's initial header is on the wire for hop one; account for
-     it even on a source-delivered packet so byte telemetry never reads
-     zero for a walked packet. *)
-  if src = header.dst then begin
-    account src header;
-    (* disco-lint: allow L7 the scheme's forward is the function under test; its own hot body is checked separately *)
-    match forward header ~at:src with
-    | Deliver ->
-        log src Delivered;
-        finish ~delivered:true ~dropped:None
-    | Drop r -> fail src r
-    | Forward _ | Rewrite _ ->
-        fail src (Protocol_error "forwarding away from the destination")
-  end
-  else go src header ttl0
-
-(* --- zero-alloc fast path ------------------------------------------------
-
-   The batched walker: headers live pre-encoded in reusable [Bytes], the
-   in-flight state lives in one preallocated {!packet} scratch record, and
-   each scheme supplies a *compiled forward* ([packet -> int -> int]) whose
-   hop loop is pure array indexing.  The typed {!walk} above stays the
-   oracle — disco-check's fast≡typed differential holds the two walkers to
-   the same hop sequence and verdict — while this path answers the
-   throughput question ({!fast_walk} plus [bench --figure throughput]).
+   Headers live pre-encoded in reusable [Bytes] or are loaded straight
+   from the typed form, the in-flight state lives in one preallocated
+   {!packet} scratch record, and each scheme supplies a *compiled
+   forward* ([packet -> int -> int]) whose hop loop is pure array
+   indexing.  This is the only walker: every figure, check and trace runs
+   it, and the closed-form oracles check it.
 
    Everything below the setup-time encoders is on the L7 hot manifest:
    no closures, no tuples, no options, no boxed floats in any per-hop
@@ -328,7 +113,8 @@ let drop_to_string = function
    ids ([proute_pos..proute_end)); [pfs] is float scratch with the BVR
    fallback bound pinned at slot 0; [pis] is int scratch; the VRR virtual
    bound travels as two unsigned 32-bit halves so no Int64 is ever boxed
-   on the hop loop. *)
+   on the hop loop.  [pfallback] is raised by a scheme whose walk detoured
+   through its resolution database (Disco). *)
 type packet = {
   mutable pdst : int;
   mutable pmode : int;
@@ -342,6 +128,7 @@ type packet = {
   mutable phops : int;
   mutable pdelivered : bool;
   mutable pdrop : int;
+  mutable pfallback : bool;
   proute : int array;
   pfs : float array;
   pis : int array;
@@ -364,6 +151,7 @@ let packet_create g =
     phops = 0;
     pdelivered = false;
     pdrop = drop_none;
+    pfallback = false;
     proute = Array.make ((2 * Graph.n g) + 8) (-1);
     pfs = Array.make 8 0.0;
     pis = Array.make 8 0;
@@ -560,7 +348,8 @@ let decode_into g pkt buf ~pos ~src =
   decode_labels g pkt buf ~base:(pos + header_fixed_bytes) 0 src 0 count;
   pkt.phops <- 0;
   pkt.pdelivered <- false;
-  pkt.pdrop <- drop_none
+  pkt.pdrop <- drop_none;
+  pkt.pfallback <- false
 
 (* Typed reconstruction, for the codec round-trip tests (setup-time). *)
 let decode_header g ~src buf ~pos =
@@ -591,9 +380,8 @@ let decode_header g ~src buf ~pos =
     extra_bytes = (get_u8 buf (pos + 29) lsl 8) lor get_u8 buf (pos + 30);
   }
 
-(* Load the scratch packet straight from a typed header (no wire bytes);
-   the differential uses it to cross-check encode/decode against direct
-   loading.  Setup-time. *)
+(* Load the scratch packet straight from a typed header (no wire bytes).
+   Setup-time: the walker runner and the codec tests use it. *)
 let load_packet pkt h =
   pkt.pmode <- mode_of_phase h.phase;
   pkt.pdst <- h.dst;
@@ -608,9 +396,30 @@ let load_packet pkt h =
   List.iteri (fun i v -> pkt.proute.(i) <- v) h.labels;
   pkt.phops <- 0;
   pkt.pdelivered <- false;
-  pkt.pdrop <- drop_none
+  pkt.pdrop <- drop_none;
+  pkt.pfallback <- false
 
-(* --- the fast walker (hot) ------------------------------------------ *)
+(* The typed header the packet currently carries — the inverse of
+   [load_packet], read-only and allocating (traces, byte accounting). *)
+let view pkt =
+  let rec labels i =
+    if i >= pkt.proute_end then [] else pkt.proute.(i) :: labels (i + 1)
+  in
+  {
+    dst = pkt.pdst;
+    phase = phase_of_mode pkt.pmode;
+    labels = labels pkt.proute_pos;
+    waypoint = pkt.pway;
+    anchor = pkt.panchor;
+    fbound = pkt.pfs.(fs_fbound);
+    vbound =
+      Int64.logor
+        (Int64.shift_left (Int64.of_int pkt.pvb_hi) 32)
+        (Int64.of_int pkt.pvb_lo);
+    extra_bytes = pkt.pextra;
+  }
+
+(* --- the walker (hot) ------------------------------------------ *)
 
 (* A scheme's compiled face: [fstep pkt u] is the zero-alloc per-hop
    decision (next hop or a negative verdict); [fprime ~src ~dst] forces
@@ -639,13 +448,13 @@ let[@hot] rec fast_loop g step pkt u ttl trail =
     else if r = fast_no_route then pkt.pdrop <- drop_no_route
     else pkt.pdrop <- drop_protocol
 
-(* Route one decoded packet from [src]: the fast mirror of {!walk}'s
-   contract (TTL counts decisions; a next hop must be a real link; Deliver
-   away from the destination is a protocol error; at [src = dst] the
-   scheme still decides once).  No loop detection — an in-place cycle runs
-   to TTL, which the typed oracle flags as [Loop_detected] and the
-   differential accepts as the same non-delivery verdict.  [trail] must
-   hold [ttl + 1] slots; [trail.(0..phops)] is the hop sequence. *)
+(* Route one loaded packet from [src].  The walker enforces the two
+   mechanical halves of the "local state only" contract: TTL counts
+   decisions, a next hop must be a real link of the graph, Deliver away
+   from the destination is a protocol error, and at [src = dst] the scheme
+   still decides once.  No loop detection — an in-place cycle runs to
+   TTL.  [trail] must hold [ttl + 1] slots; [trail.(0..phops)] is the hop
+   sequence. *)
 let fast_walk g ~step pkt ~src ~ttl ~trail =
   pkt.phops <- 0;
   pkt.pdelivered <- false;
@@ -659,14 +468,3 @@ let fast_walk g ~step pkt ~src ~ttl ~trail =
     else pkt.pdrop <- drop_protocol
   end
   else fast_loop g step pkt src ttl trail
-
-let pp_trace ppf t =
-  Format.fprintf ppf "@[<v>path: %s%s@,%a@]"
-    (String.concat "-" (List.map string_of_int t.path))
-    (match (t.delivered, t.dropped) with
-    | true, _ -> ""
-    | false, Some r -> Printf.sprintf "  (NOT DELIVERED: %s)" (reason_to_string r)
-    | false, None -> "  (NOT DELIVERED)")
-    (Format.pp_print_list (fun ppf s ->
-         Format.fprintf ppf "  @[at %d: %s@]" s.at (action_to_string s.action)))
-    t.steps

@@ -1,36 +1,28 @@
 (** Scheme-agnostic hop-by-hop data plane.
 
     Every routing scheme in the repo answers one question per hop: given
-    the packet's header and the state the current node holds, what happens
-    next?  That answer is a {!decision}; this module supplies the shared
-    packet {!header}, the {!walk} loop that executes a forward function
-    hop by hop (TTL bound, loop detection, per-hop header-byte
-    accounting), and the {!trace} every figure and check consumes.
+    the packet and the state the current node holds, what happens next?
+    Each scheme answers it with one {e compiled forward} ({!fast_plan}):
+    node-local state flattened into arrays, and a per-hop step that reads
+    and rewrites one preallocated {!packet}.  {!fast_walk} runs that step
+    hop by hop; it is the only walker in the repo.  Figures, disco-check
+    and traces all run it, and each scheme's closed-form oracle checks it.
 
-    The walker itself enforces the two mechanical halves of the "local
-    state only" contract: a decision may only move the packet across a
-    real link of the graph ({!Protocol_error} otherwise), and anything the
+    The walker enforces the two mechanical halves of the "local state
+    only" contract: a decision may only move the packet across a real link
+    of the graph (a protocol-error drop otherwise), and anything the
     deciding node wants remembered across hops must be written into the
-    header (the walker threads no other state). Scheme-specific forward
-    functions live next to their control planes ({!Forwarding} for Disco,
-    the baselines' [forward] for the rest); the experiment layer's
-    [Walk] module derives the measured routes from these walks, demoting
-    the closed-form path computations to oracles. *)
+    packet (the walker threads no other state).
+
+    The typed {!header} is the source and wire form: sources emit it,
+    {!load_packet} or the codec ({!encode_header}/{!decode_into}) put it
+    in the packet, and {!view} reads the packet back as a header for
+    traces and per-hop byte accounting ({!byte_size}). *)
 
 module Graph = Disco_graph.Graph
 
-(** Why a packet was dropped. *)
-type reason =
-  | Ttl_expired
-  | Loop_detected  (** the exact (node, header) state recurred *)
-  | No_route  (** the node holds no state that makes progress *)
-  | Protocol_error of string
-      (** the forward function broke the data-plane contract, e.g. named a
-          next hop that is not a neighbor of the current node *)
-
 (** What kind of in-flight processing the header is asking for. Each
-    scheme interprets the phases it uses; the walker never inspects them
-    beyond loop-detection equality. *)
+    scheme interprets the phases it uses; the walker never inspects them. *)
 type phase =
   | Seek of { tried_proxy : bool }
       (** the packet carries only the destination's flat name (Disco) *)
@@ -60,49 +52,6 @@ type header = {
 val plain : dst:int -> phase -> header
 (** A header with no labels, waypoint, anchor or bounds. *)
 
-(** One per-hop decision, printable for traces and inspectable by tests
-    and disco-lint (no strings to match on). *)
-type action =
-  | Delivered
-  | Dropped of reason
-  | Direct_route  (** the node's own tables hold a route to the destination *)
-  | Group_store_hit  (** sloppy-group store supplied the address *)
-  | To_group_proxy of int
-  | Resolution_via of int  (** falling back to the resolution DB's owner *)
-  | Shortcut_divert  (** to-destination shortcutting replaced the labels *)
-  | Address_rewrite  (** a directory/landmark wrote the explicit route *)
-  | Directory_detour of int  (** detour via a lookup node (SEATTLE, S4) *)
-  | Toward_pivot of int  (** TZ: steering to the routing pivot *)
-  | Label_hop  (** consumed one explicit-route label *)
-  | Hop of int  (** plain forward, header unchanged *)
-  | Greedy_commit of int  (** committed to a closer anchor (VRR) or
-                              re-entered greedy mode (BVR) *)
-  | Fallback_descent  (** BVR: entered fallback, descending the beacon tree *)
-
-val reason_to_string : reason -> string
-val action_to_string : action -> string
-
-type decision =
-  | Forward of int  (** send to this neighbor, header unchanged *)
-  | Rewrite of header * int * action
-      (** rewrite the header and send to this neighbor; the action says
-          why, for the trace *)
-  | Deliver
-  | Drop of reason
-
-type step = { at : int; action : action }
-
-type trace = {
-  path : int list;  (** nodes traversed, source first *)
-  steps : step list;  (** one per decision, in order *)
-  delivered : bool;
-  dropped : reason option;  (** why the walk ended, when not delivered *)
-  hops : int;  (** [List.length path - 1] *)
-  rewrites : int;  (** header rewrites along the way *)
-  header_bytes_max : int;  (** largest header carried on any hop *)
-  header_bytes_total : int;  (** header bytes summed over every hop taken *)
-}
-
 val byte_size : ?name_bytes:int -> Graph.t -> at:int -> header -> int
 (** Wire size of the header as carried at node [at]: the destination's
     self-certifying name ([name_bytes], default 20), the packed
@@ -110,31 +59,13 @@ val byte_size : ?name_bytes:int -> Graph.t -> at:int -> header -> int
     node id each for waypoint and anchor when present, 4 bytes for a
     finite fallback bound, and the scheme's [extra_bytes]. *)
 
-val walk :
-  ?ttl:int ->
-  ?name_bytes:int ->
-  Graph.t ->
-  forward:(header -> at:int -> decision) ->
-  src:int ->
-  header ->
-  trace
-(** Execute [forward] hop by hop from [src] until it delivers, drops, the
-    TTL (default [4 * n] decisions) expires, or the exact (node, header)
-    state recurs — node revisits alone are legal (a Disco proxy leg may
-    re-cross a node), but revisiting with an identical header can never
-    make progress under a deterministic forward function. *)
+(** {1 The packet and its compiled forwards}
 
-val pp_trace : Format.formatter -> trace -> unit
-
-(** {1 The zero-alloc fast path}
-
-    The batched counterpart of {!walk}: headers pre-encoded into reusable
-    [Bytes], in-flight state in one preallocated {!packet}, and per-scheme
-    {e compiled forwards} ({!fast_plan}) whose hop loop is array indexing
-    only.  {!walk} stays the oracle; disco-check's fast≡typed differential
-    holds both walkers to the same hop sequence and verdict, and the L7
-    lint plus [bench --figure alloc] hold this path to zero allocation
-    per hop. *)
+    Headers are pre-encoded into reusable [Bytes] or loaded straight from
+    the typed form, in-flight state lives in one preallocated {!packet},
+    and each scheme's compiled forward ({!fast_plan}) is array indexing
+    only.  The L7 lint and [bench --figure throughput] hold this path to
+    zero allocation per hop. *)
 
 (** {2 Phase codes} — {!phase} as a small int on the wire. *)
 
@@ -169,7 +100,9 @@ val drop_to_string : int -> string
     the compiled forwards with the BVR fallback bound at {!fs_fbound};
     [pis] is int scratch; the VRR virtual bound is carried as two unsigned
     32-bit halves ([pvb_hi], [pvb_lo]) so the hop loop never boxes an
-    Int64.  After a {!fast_walk}: [phops], [pdelivered], [pdrop]. *)
+    Int64.  After a {!fast_walk}: [phops], [pdelivered], [pdrop], and
+    [pfallback], which a scheme raises when the walk detoured through its
+    resolution database (Disco). *)
 type packet = {
   mutable pdst : int;
   mutable pmode : int;
@@ -183,6 +116,7 @@ type packet = {
   mutable phops : int;
   mutable pdelivered : bool;
   mutable pdrop : int;
+  mutable pfallback : bool;
   proute : int array;
   pfs : float array;
   pis : int array;
@@ -233,13 +167,20 @@ val encode_header : Graph.t -> src:int -> header -> Bytes.t -> pos:int -> int
 
 val decode_into : Graph.t -> packet -> Bytes.t -> pos:int -> src:int -> unit
 (** Rehydrate [pkt] from wire bytes (allocation-free); [src] resolves the
-    neighbor-rank labels back to node ids and the walk counters reset. *)
+    neighbor-rank labels back to node ids and the walk counters and
+    [pfallback] reset. *)
 
 val decode_header : Graph.t -> src:int -> Bytes.t -> pos:int -> header
 (** Typed reconstruction of an encoded header (round-trip tests). *)
 
 val load_packet : packet -> header -> unit
-(** Load [pkt] straight from a typed header, skipping the wire. *)
+(** Load [pkt] straight from a typed header, skipping the wire; the walk
+    counters and [pfallback] reset. *)
+
+val view : packet -> header
+(** The typed header [pkt] carries right now (the inverse of
+    {!load_packet}): read-only, allocating, for traces and byte
+    accounting. *)
 
 val float_of_bits_hl : int -> int -> float
 (** Exact IEEE-754 double from two unsigned 32-bit halves, without boxing
@@ -263,11 +204,9 @@ val fast_walk :
   ttl:int ->
   trail:int array ->
   unit
-(** Route one decoded packet from [src] under {!walk}'s contract (TTL
-    counts decisions; hops must be real links; Deliver away from the
-    destination is a protocol error; at [src = dst] the scheme decides
-    once).  No loop detection: an in-place cycle runs to TTL, which the
-    typed oracle reports as [Loop_detected] — the same non-delivery
-    verdict.  [trail] needs [ttl + 1] slots; [trail.(0..phops)] is the
-    hop sequence.  Results land in [pkt]: [pdelivered], [pdrop],
-    [phops]. *)
+(** Route one loaded packet from [src]: TTL counts decisions; a next hop
+    must be a real link; Deliver away from the destination is a protocol
+    error; at [src = dst] the scheme decides once.  No loop detection: an
+    in-place cycle runs to TTL.  [trail] needs [ttl + 1] slots;
+    [trail.(0..phops)] is the hop sequence.  Results land in [pkt]:
+    [pdelivered], [pdrop], [phops]. *)

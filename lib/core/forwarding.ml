@@ -8,13 +8,6 @@ let deliver_check (d : Disco.t) ~src ~dst =
   | Some p when src <> dst -> Some (List.rev p)
   | _ -> None
 
-(* The node's local route to [dst] if it stores one: landmark table or
-   vicinity; mirrors Nddisco.knows but is written from the node's view. *)
-let local_route (nd : Nddisco.t) u dst =
-  if nd.Nddisco.landmarks.Landmarks.is_landmark.(dst) then
-    Some (Landmark_trees.path_to nd.Nddisco.trees u ~lm:dst)
-  else Vicinity.path nd.Nddisco.vicinity u dst
-
 (* Rewrite at a node that holds [dst]'s address: the route to the
    destination's landmark from the node's own landmark table, then the
    explicit label route. *)
@@ -27,122 +20,6 @@ let address_route (nd : Nddisco.t) u dst =
   in
   if u = lm then label_path
   else Landmark_trees.path_to nd.Nddisco.trees u ~lm @ List.tl label_path
-
-(* Rewrite [h] into a Carry header following [path] (current node first);
-   the packet is put on the wire toward the path's second node. *)
-let carry_along h path why =
-  match path with
-  | _ :: (next :: rest) ->
-      D.Rewrite
-        ( { h with D.phase = D.Carry; labels = rest; waypoint = -1 },
-          next,
-          why )
-  | _ -> D.Drop D.No_route
-
-(* The Carry machine, shared by Disco, NDDisco and every label-routing leg:
-   to-destination shortcutting at each hop (the first node holding a direct
-   route diverts along it — its route is a shortest path, so the remaining
-   distance strictly decreases; no loops), else consume one label. *)
-let carry_step (nd : Nddisco.t) (h : D.header) ~at:u =
-  if u = h.D.dst then D.Deliver
-  else
-    match local_route nd u h.D.dst with
-    | Some (_ :: (_ :: _ as direct)) when direct <> h.D.labels ->
-        carry_along h (u :: direct) D.Shortcut_divert
-    | _ -> (
-        match h.D.labels with
-        | next :: rest ->
-            D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-        | [] -> D.Drop D.No_route)
-
-(* Seek: the packet carries only the flat name; the node classifies it
-   exactly as the control plane's [Disco.classify_first] would from this
-   node's view. One decision per hop: same-node transitions of the old
-   multi-pass machine (Seek -> Carry at the proxy, say) compress into a
-   single Rewrite. *)
-let rec seek_step (d : Disco.t) (h : D.header) ~at:u ~tried_proxy =
-  let nd = d.Disco.nd in
-  let dst = h.D.dst in
-  if u = dst then D.Deliver
-  else
-    match local_route nd u dst with
-    | Some (_ :: _ :: _ as p) -> carry_along h p D.Direct_route
-    | _ ->
-        if Groups.same_group d.Disco.groups u dst then
-          carry_along h (address_route nd u dst) D.Group_store_hit
-        else if not tried_proxy then begin
-          match Disco.classify_first d ~src:u ~dst with
-          | Disco.Via_group_member w -> (
-              match Vicinity.path nd.Nddisco.vicinity u w with
-              | Some (_ :: (next :: rest)) ->
-                  D.Rewrite
-                    ( {
-                        h with
-                        D.phase = D.Steer { tried_proxy = true };
-                        labels = rest;
-                        waypoint = w;
-                      },
-                      next,
-                      D.To_group_proxy w )
-              | Some _ ->
-                  (* The proxy is this node itself; its store came up empty
-                     (same_group above), so fall to resolution. *)
-                  resolution_step d h ~at:u
-              | None -> D.Drop D.No_route)
-          | _ -> resolution_step d h ~at:u
-        end
-        else resolution_step d h ~at:u
-
-and resolution_step (d : Disco.t) (h : D.header) ~at:u =
-  let nd = d.Disco.nd in
-  let dst = h.D.dst in
-  let owner = Resolution.owner d.Disco.resolution nd.Nddisco.names.(dst) in
-  if u = owner then
-    carry_along h (address_route nd u dst) (D.Resolution_via owner)
-  else
-    match Landmark_trees.path_to nd.Nddisco.trees u ~lm:owner with
-    | _ :: (next :: rest) ->
-        D.Rewrite
-          ( {
-              h with
-              D.phase = D.Steer { tried_proxy = true };
-              labels = rest;
-              waypoint = owner;
-            },
-            next,
-            D.Resolution_via owner )
-    | _ -> D.Drop D.No_route
-
-(* Steer: riding a leg toward the waypoint while still carrying only the
-   name. Mid-leg nodes holding a direct route divert (becoming an ordinary
-   Carry); at the waypoint (labels exhausted) the packet is re-classified. *)
-let steer_step (d : Disco.t) (h : D.header) ~at:u ~tried_proxy =
-  let nd = d.Disco.nd in
-  if u = h.D.dst then D.Deliver
-  else
-    match h.D.labels with
-    | [] -> seek_step d { h with D.waypoint = -1 } ~at:u ~tried_proxy
-    | next :: rest -> (
-        match local_route nd u h.D.dst with
-        | Some (_ :: _ :: _ as p) -> carry_along h p D.Shortcut_divert
-        | _ -> D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop))
-
-(* The step functions allocate the rewritten header each hop: Rewrite
-   carries a fresh immutable header by contract, so the L7 waivers below
-   are the design, not an accident.  Their raise chains all bottom out in
-   Landmark_trees/Bits range checks on states the control plane cannot
-   produce (L9). *)
-let forward (d : Disco.t) (h : D.header) ~at =
-  match h.D.phase with
-  (* disco-lint: allow L7 L9 per-hop header rewrite is the Rewrite contract; raises only on control-plane-impossible states *)
-  | D.Seek { tried_proxy } -> seek_step d h ~at ~tried_proxy
-  (* disco-lint: allow L7 L9 per-hop header rewrite is the Rewrite contract; raises only on control-plane-impossible states *)
-  | D.Steer { tried_proxy } -> steer_step d h ~at ~tried_proxy
-  (* disco-lint: allow L7 L9 per-hop header rewrite is the Rewrite contract; raises only on control-plane-impossible states *)
-  | D.Carry -> carry_step d.Disco.nd h ~at
-  | D.Greedy | D.Fallback ->
-      (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-      D.Drop (D.Protocol_error "disco: foreign header phase")
 
 let first_header (_ : Disco.t) ~src:_ ~dst =
   D.plain ~dst (D.Seek { tried_proxy = false })
@@ -164,41 +41,9 @@ let later_header (d : Disco.t) ~src ~dst =
         | _ :: _ as p -> carry_header ~dst p
         | [] -> first_header d ~src ~dst)
 
-type trace = { walk : D.trace; handshake : int list option }
-
-let run_walk (d : Disco.t) ~src header =
-  let g = d.Disco.nd.Nddisco.graph in
-  let w =
-    D.walk ~ttl:(ttl_factor * Graph.n g) g ~forward:(forward d) ~src header
-  in
-  {
-    walk = w;
-    handshake =
-      (if w.D.delivered then deliver_check d ~src ~dst:header.D.dst else None);
-  }
-
-let first_packet d ~src ~dst = run_walk d ~src (first_header d ~src ~dst)
-let later_packet d ~src ~dst = run_walk d ~src (later_header d ~src ~dst)
-
-let pp_trace ppf t =
-  D.pp_trace ppf t.walk;
-  match t.handshake with
-  | Some p ->
-      Format.fprintf ppf "@,handshake: %s"
-        (String.concat "-" (List.map string_of_int p))
-  | None -> ()
-
-(* NDDisco's data plane: the pure Carry machine — the source already holds
-   the destination's address, so first packets follow the raw route with
-   per-hop to-destination shortcutting. *)
-let forward_nd (nd : Nddisco.t) (h : D.header) ~at =
-  match h.D.phase with
-  (* disco-lint: allow L7 L9 per-hop header rewrite is the Rewrite contract; raises only on control-plane-impossible states *)
-  | D.Carry -> carry_step nd h ~at
-  | D.Seek _ | D.Steer _ | D.Greedy | D.Fallback ->
-      (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-      D.Drop (D.Protocol_error "nddisco: foreign header phase")
-
+(* NDDisco's data plane is the pure Carry machine: the source already
+   holds the destination's address, so first packets follow the raw route
+   with per-hop to-destination shortcutting. *)
 let first_header_nd (nd : Nddisco.t) ~src ~dst =
   carry_header ~dst (Nddisco.raw_route nd ~src ~dst)
 
@@ -208,20 +53,19 @@ let later_header_nd (nd : Nddisco.t) ~src ~dst =
   | _ -> first_header_nd nd ~src ~dst
 
 (* ------------------------------------------------------------------ *)
-(* Compiled fast path: reads the SAME packed state the typed steps
-   consult — vicinity view records via their direct-index slots, address
+(* The compiled data plane reads the control plane's packed state in
+   place — vicinity view records via their direct-index slots, address
    routes straight off Nddisco's CSR, the resolution owner from the
-   Othello FIB — so compiling no longer re-flattens anything into private
-   copies.  Landmark trees become parent rows primed per flow; name
-   hashes split into unsigned 32-bit halves so the group tests never box
-   an Int64. *)
+   Othello FIB — so compiling re-flattens nothing into private copies.
+   Landmark trees become parent rows primed per flow; name hashes split
+   into unsigned 32-bit halves so the group tests never box an Int64. *)
 
 type fast = {
   ffg : Graph.t;
   fis_lm : bool array;
   ftrees : Landmark_trees.t;
   flm : int array array;  (* parent row per landmark; [||] = unprimed *)
-  fviews : Vicinity.view array;  (* shared with the typed face *)
+  fviews : Vicinity.view array;  (* the vicinity memo's own records *)
   fghi : int array;  (* name-hash top/bottom 32 bits ([||] for NDDisco) *)
   fglo : int array;
   fgbits : int array;  (* per-node group prefix width *)
@@ -318,10 +162,10 @@ let vfill f pkt v w c =
   pkt.D.proute_pos <- 0;
   pkt.D.proute_end <- c
 
-(* The zero-alloc mirror of [local_route] + [carry_along]: load the node's
-   direct route to [dst] into the route window.  Returns the label count
-   (>= 1, window loaded), 0 (no local route, window untouched), or -1
-   where the typed path raises (broken or unprimed landmark tree). *)
+(* Load the node's direct route to [dst] — its landmark-table route when
+   [dst] is a landmark, else its vicinity route — into the route window.
+   Returns the label count (>= 1, window loaded), 0 (no local route,
+   window untouched), or -1 on a broken or unprimed landmark tree. *)
 let local_fill f pkt u dst =
   if f.fis_lm.(dst) then begin
     let parents = f.flm.(dst) in
@@ -341,7 +185,8 @@ let local_fill f pkt u dst =
   end
 
 (* [address_route] as a fill: the landmark-tree leg [u ~> l_dst] then the
-   address labels.  Returns the label count or -1 (typed raise). *)
+   address labels.  Returns the label count or -1 (broken or unprimed
+   landmark tree). *)
 let addr_fill f (pkt : D.packet) u dst =
   let lm = f.falm.(dst) in
   let roff = f.faroute.Packed.Csr.off.(dst) in
@@ -391,7 +236,8 @@ let fd_cpl f a b =
 
 (* [best_group_proxy]'s scan over V(u)'s member row: best proxy id in
    [pis.(1)], its prefix length in [pis.(2)], its distance in [pfs.(1)];
-   same order (members ascending) and tie rule as the typed fold. *)
+   same order (members ascending) and tie rule as
+   [Disco.best_group_proxy]. *)
 let rec proxy_scan f (pkt : D.packet) (vw : Vicinity.view) dst i stop =
   if i < stop then begin
     let w = vw.Vicinity.members.(i) in
@@ -407,11 +253,19 @@ let rec proxy_scan f (pkt : D.packet) (vw : Vicinity.view) dst i stop =
     proxy_scan f pkt vw dst (i + 1) stop
   end
 
-(* The step machine, decision-for-decision the typed [seek_step] /
-   [resolution_step] / [steer_step] / [carry_step].  The only intended
-   divergence: a Carry divert whose direct route equals the remaining
-   labels is taken here and consumed by the typed step — same next hop,
-   same remaining labels, so the walks cannot differ. *)
+(* The step machine.  A first packet toward a flat name goes through
+   phases:
+   - Seek, at the source: deliver, or follow a direct route from the
+     node's own tables, or — when the node shares the destination's
+     sloppy group — carry the address from its group store, else head for
+     the best group proxy in the vicinity (Steer);
+   - at the proxy (waypoint, labels exhausted): re-classify; a miss falls
+     back to the resolution database's owner, reached over its landmark
+     tree (Steer again, flagged in [pfallback]);
+   - Carry: consume the explicit label route, with to-destination
+     shortcutting wherever a node holds a direct route.
+   Any node on a Steer leg holding a direct route diverts ("to-destination"
+   shortcutting), so the remaining distance strictly decreases. *)
 let rec fd_seek f (pkt : D.packet) u tried =
   let dst = pkt.D.pdst in
   if u = dst then D.fast_deliver
@@ -460,6 +314,11 @@ and fd_addr_carry f (pkt : D.packet) u dst =
   end
 
 and fd_resolution f (pkt : D.packet) u dst =
+  let r = fd_resolution_leg f pkt u dst in
+  if r >= 0 then pkt.D.pfallback <- true;
+  r
+
+and fd_resolution_leg f (pkt : D.packet) u dst =
   let owner = fast_owner f dst in
   if u = owner then fd_addr_carry f pkt u dst
   else begin

@@ -1,5 +1,5 @@
-(** Disco's data plane: the per-hop forward functions for Disco and
-    NDDisco, expressed as {!Dataplane.decision}s.
+(** Disco's data plane: the compiled per-hop forwards for Disco and
+    NDDisco, and the headers their sources emit.
 
     {!Disco.route_first}/{!Disco.route_later} compute routes from the
     static simulator's global view; this module {e executes} a packet hop
@@ -17,30 +17,20 @@
       source-route if the address is known, else head for the best group
       proxy in the vicinity;
     + at the proxy: look the name up in the group store and rewrite the
-      packet with the destination's address ({!Dataplane.Carry});
+      packet with the destination's address ({!Dataplane.Carry}), or fall
+      back to the resolution database (the packet's [pfallback] flag);
     + toward the landmark ({!Dataplane.Steer}): follow the path-vector
       route to [l_t];
-    + from the landmark: consume the address's forwarding labels bit by
-      bit (the explicit route);
+    + from the landmark: consume the address's forwarding labels (the
+      explicit route);
     + any node on the way that knows a direct route to the destination
-      diverts ("to-destination" shortcutting), and the destination answers
+      diverts ("to-destination" shortcutting); the destination answers
       with the exact path when the source is in {e its} vicinity (the
       handshake), which is where later packets' stretch-3 routes come
-      from. *)
-
-type trace = {
-  walk : Dataplane.trace;  (** the executed walk, typed steps included *)
-  handshake : int list option;
-      (** the exact path the destination reveals if the source is in its
-          vicinity (None otherwise) *)
-}
+      from ({!later_header}). *)
 
 val ttl_factor : int
 (** TTL budget as a multiple of [n] (Disco uses [4 * n] decisions). *)
-
-val forward : Disco.t -> Dataplane.header -> at:int -> Dataplane.decision
-(** One Disco forwarding decision at node [at], consulting only that
-    node's vicinity, landmark, group-store and resolution state. *)
 
 val first_header : Disco.t -> src:int -> dst:int -> Dataplane.header
 (** The header a source emits for a first packet: just the flat name
@@ -52,14 +42,9 @@ val later_header : Disco.t -> src:int -> dst:int -> Dataplane.header
     {!Dataplane.Carry} route, falling back to a first-packet header when
     the source holds nothing. *)
 
-val first_packet : Disco.t -> src:int -> dst:int -> trace
-(** Execute a first packet addressed to [dst]'s flat name. *)
-
-val later_packet : Disco.t -> src:int -> dst:int -> trace
-(** Execute a packet once the source holds the destination's address (and
-    the handshake reply, if one was sent). *)
-
-val pp_trace : Format.formatter -> trace -> unit
+val deliver_check : Disco.t -> src:int -> dst:int -> int list option
+(** The handshake: the exact path [src; ...; dst] the destination reveals
+    when [src] is in its vicinity, [None] otherwise (and at [src = dst]). *)
 
 (** {2 NDDisco}
 
@@ -68,21 +53,20 @@ val pp_trace : Format.formatter -> trace -> unit
     explicit {!Dataplane.Carry} header from the source, with
     to-destination shortcutting at every hop. *)
 
-val forward_nd : Nddisco.t -> Dataplane.header -> at:int -> Dataplane.decision
 val first_header_nd : Nddisco.t -> src:int -> dst:int -> Dataplane.header
 val later_header_nd : Nddisco.t -> src:int -> dst:int -> Dataplane.header
 
-(** {2 Compiled fast path}
+(** {2 Compiled forwards}
 
-    The zero-alloc face of {!forward}/{!forward_nd}: vicinity views
-    flattened into one CSR, landmark trees as parent rows primed per
-    flow, name hashes as unsigned 32-bit halves.  {!fast_step} mirrors
-    the typed steps decision for decision (disco-check's fast≡typed
-    differential holds them to the same hop sequence and verdict). *)
+    Vicinity views read through their direct-index slots, landmark trees
+    as parent rows primed per flow, name hashes as unsigned 32-bit
+    halves: {!fast_step} is array indexing only. *)
 
 type fast
 
 val compile : Disco.t -> fast
+(** Forces every vicinity view ({!Vicinity.slots}). *)
+
 val compile_nd : Nddisco.t -> fast
 
 val fast_prime : fast -> src:int -> dst:int -> unit
@@ -93,7 +77,8 @@ val fast_prime : fast -> src:int -> dst:int -> unit
 val fast_prime_nd : fast -> src:int -> dst:int -> unit
 
 val fast_step : fast -> Dataplane.packet -> int -> int
-(** One zero-alloc Disco decision (Seek/Steer/Carry machine). *)
+(** One zero-alloc Disco decision (Seek/Steer/Carry machine); raises the
+    packet's [pfallback] flag on a resolution-database detour. *)
 
 val fast_step_nd : fast -> Dataplane.packet -> int -> int
 (** One zero-alloc NDDisco decision (pure Carry machine). *)

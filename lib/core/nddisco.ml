@@ -3,8 +3,8 @@ module Graph = Disco_graph.Graph
 (* All n addresses in four flat slabs instead of n boxed records: the
    landmark column, the explicit routes as one CSR, and the per-hop
    forwarding labels as one bytes blob with byte offsets and exact bit
-   lengths. The compiled fast path walks [aroute] in place; the typed
-   face rehydrates an [Address.t] on demand. *)
+   lengths. The compiled data plane walks [aroute] in place; the oracles
+   and headers rehydrate an [Address.t] on demand. *)
 type addresses = {
   alm : int array;
   aroute : Packed.Csr.t;

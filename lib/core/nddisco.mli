@@ -26,7 +26,7 @@ type addresses = {
 }
 (** Every address packed into flat slabs (the succinct-state layout): the
     compiled data plane walks [aroute] rows in place; {!address}
-    rehydrates a boxed {!Address.t} for the typed face. *)
+    rehydrates a boxed {!Address.t} for the oracles and headers. *)
 
 type t = {
   graph : Disco_graph.Graph.t;
@@ -56,7 +56,8 @@ val build :
 val n : t -> int
 
 val address : t -> int -> Address.t
-(** Rehydrated from the packed slabs; allocates — typed face only. *)
+(** Rehydrated from the packed slabs; allocates — oracles and headers
+    only. *)
 
 val address_landmark : t -> int -> int
 (** [ (address t v).landmark ] without the rehydration. *)

@@ -3,8 +3,8 @@
     Mirrors what [Disco_graph.Graph] does for adjacency: every table that
     used to live in boxed hashtables or lists is stored as a handful of
     int arrays / Bigarray slabs, so a million-node build fits in RAM and
-    both the typed [forward] faces and the compiled [Dataplane.fast_plan]
-    read the same memory. Byte accounting is exact: each structure knows
+    both the route oracles and the compiled [Dataplane.fast_plan] read the
+    same memory. Byte accounting is exact: each structure knows
     the size of its slabs, so [ROUTER.state_bytes] reports real storage
     rather than [Obj]-guesswork. *)
 

@@ -33,7 +33,7 @@ let owners_by_node t =
 (* The succinct owner table: an Othello map from name-hash halves to the
    owning landmark, a few bits per name instead of an 8-byte array slot.
    Values reproduce [owners_by_node] exactly (they are built from it), so
-   the compiled fast path and the typed face stay bit-identical. *)
+   the compiled data plane and the route oracles stay bit-identical. *)
 let fib t =
   match t.fib with
   | Some f -> f

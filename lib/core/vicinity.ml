@@ -105,7 +105,7 @@ let cached_count t = Disco_util.Pool.Memo.length t.cache
 
 (* The packed face: one flat array slot per node holding the same view
    record the memo serves, so a compiled plan indexes views directly
-   (no mutex, no re-flattened CSR copy) while the typed face keeps its
+   (no mutex, no re-flattened CSR copy) while the oracles keep their
    lazy fills. Forcing it computes every view once. *)
 let slots t =
   match t.slots with

@@ -50,7 +50,8 @@ val slots : t -> view array
 (** The packed face for compiled plans: slot [v] is the same record
     [view t v] returns, indexed directly with no lock and no copying.
     Forcing it computes every view once ([precompute_all] semantics);
-    typed lazy fills and the compiled fast path then share the arrays. *)
+    the oracles' lazy fills and the compiled data plane then share the
+    arrays. *)
 
 val view_bytes : view -> int
 (** Exact bytes of one view's member/dist/parent arrays plus radius. *)

@@ -43,34 +43,32 @@ let plan ~seed groups =
        groups)
 
 (* One task = one source group = one SSSP oracle. Everything a task touches
-   is private (its accumulator from [init], a per-task telemetry record, and
-   on the parallel path a per-task Dijkstra workspace), so the result and the
-   merged counters cannot depend on which domain ran what; [Pool.run] returns
-   in index order and the [?tel] fold below walks that order. *)
-let run ?pool ?tel graph tasks ~init ~visit =
-  let exec ws task =
+   is private (its accumulator from [init], a per-task telemetry record) or
+   lent to the worker running it ([Pool.run_with]: one Dijkstra workspace
+   plus the caller's [scratch], both pure scratch), so the result and the
+   merged counters cannot depend on which domain ran what; [Pool.run_with]
+   returns in index order and the [?tel] fold below walks that order. *)
+let run ?pool ?tel graph tasks ~scratch ~init ~visit =
+  let exec (ws, s) task =
     let task_tel = Telemetry.create () in
     let acc = init task in
-    let ws = match ws with Some ws -> ws | None -> Dijkstra.make_workspace graph in
     Telemetry.sssp_run task_tel;
     let sp = Dijkstra.sssp ~ws graph task.t_src in
     List.iter
       (fun dst ->
         let dist = sp.Dijkstra.dist.(dst) in
         if dist > 0.0 && dist < infinity then
-          visit acc ~tel:task_tel ~src:task.t_src ~dst ~dist)
+          visit acc s ~tel:task_tel ~src:task.t_src ~dst ~dist)
       task.t_dests;
     (acc, task_tel)
   in
+  let lend p =
+    Pool.run_with p
+      ~scratch:(fun () -> (Dijkstra.make_workspace graph, scratch ()))
+      tasks exec
+  in
   let out =
-    match pool with
-    | Some p when Pool.jobs p > 1 && Array.length tasks > 1 ->
-        Pool.run p tasks (fun t -> exec None t)
-    | _ ->
-        (* Sequential: share one workspace across tasks (scratch only, never
-           observable in results). *)
-        let ws = Some (Dijkstra.make_workspace graph) in
-        Array.map (fun t -> exec ws t) tasks
+    match pool with Some p -> lend p | None -> Pool.with_pool ~jobs:1 lend
   in
   (match tel with
   | Some t -> Array.iter (fun (_, task_tel) -> Telemetry.add ~into:t task_tel) out
@@ -80,13 +78,16 @@ let run ?pool ?tel graph tasks ~init ~visit =
 let with_jobs jobs f =
   if jobs > 1 then Pool.with_pool ~jobs (fun p -> f (Some p)) else f None
 
+let pool_map pool xs f =
+  match pool with Some p -> Pool.run p xs f | None -> Array.map f xs
+
 let map_groups ?(jobs = 1) ?tel ~seed graph groups f =
   let tasks = plan ~seed groups in
   let accs =
     with_jobs jobs (fun pool ->
-        run ?pool ?tel graph tasks
+        run ?pool ?tel graph tasks ~scratch:ignore
           ~init:(fun _ -> ref [])
-          ~visit:(fun cell ~tel:_ ~src ~dst ~dist ->
+          ~visit:(fun cell () ~tel:_ ~src ~dst ~dist ->
             cell := f ~src ~dst ~dist :: !cell))
   in
   Array.of_list
@@ -95,19 +96,6 @@ let map_groups ?(jobs = 1) ?tel ~seed graph groups f =
 let map_pairs ?jobs ?tel ?dests_per_src ~pairs ~seed rng graph f =
   let groups = draw_pairs ?dests_per_src rng ~n:(Graph.n graph) ~pairs in
   map_groups ?jobs ?tel ~seed graph groups f
-
-let iter_groups ?tel graph groups f =
-  ignore
-    (run ?tel graph
-       (plan ~seed:0 groups)
-       ~init:(fun _ -> ())
-       ~visit:(fun () ~tel:_ ~src ~dst ~dist -> f ~src ~dst ~dist)
-      : unit array)
-
-let iter_pairs ?tel ?dests_per_src ~pairs rng graph f =
-  iter_groups ?tel graph
-    (draw_pairs ?dests_per_src rng ~n:(Graph.n graph) ~pairs)
-    f
 
 type sampled = {
   router : string;
@@ -121,55 +109,43 @@ type sampled = {
   elapsed_s : float;
 }
 
-(* One converged ROUTER instance behind closures, so a heterogeneous list of
-   built routers can share the measurement loop. [b_fork] hands out per-task
-   query handles (R.fork), which is what makes the measurement loop safe to
-   run on the pool: any query-time mutable state is private to the handle. *)
-type query = {
-  q_first : tel:Telemetry.t -> src:int -> dst:int -> int list option;
-  q_later : tel:Telemetry.t -> src:int -> dst:int -> int list option;
-}
-
+(* One converged ROUTER instance, compiled once.  [b_fork] hands out
+   per-task walkers over forked handles (R.fork), which is what makes the
+   measurement loop safe to run on the pool: any query-time mutable state
+   is private to the handle, and the compiled plan is shareable. *)
 type built = {
   b_name : string;
   b_flat : string;
   b_state : int -> int;
-  b_fork : unit -> query;
+  b_fork : unit -> Walk.t;
   b_build_s : float;
 }
 
 (* Measurements execute the scheme's data plane: every sampled pair is a
-   packet walked hop by hop by the shared walker (Walk over R.forward),
-   not a closed-form oracle route. *)
+   packet walked hop by hop over the compiled forward, not a closed-form
+   oracle route. *)
 let instantiate (module R : Protocol.ROUTER) tb =
   let t0 = now () in
   let r = R.build tb in
   let graph = tb.Testbed.graph in
+  let plan = R.compile r in
   {
     b_name = R.name;
     b_flat = R.flat_names;
     b_state = R.state_entries r;
-    b_fork =
-      (fun () ->
-        let h = R.fork r in
-        {
-          q_first =
-            (fun ~tel ~src ~dst -> Walk.first (module R) h ~tel ~graph ~src ~dst);
-          q_later =
-            (fun ~tel ~src ~dst -> Walk.later (module R) h ~tel ~graph ~src ~dst);
-        });
+    b_fork = (fun () -> Walk.compile ~plan (module R) (R.fork r) ~graph);
     b_build_s = now () -. t0;
   }
 
-let state_array packed tb =
-  let b = instantiate packed tb in
-  Array.init (Graph.n tb.Testbed.graph) (fun v -> float_of_int (b.b_state v))
+let state_array (module R : Protocol.ROUTER) tb =
+  let r = R.build tb in
+  Array.init (Graph.n tb.Testbed.graph) (fun v -> float_of_int (R.state_entries r v))
 
 (* Per-task, per-router accumulator. Stretch samples are consed in visit
    order and reversed at merge time, so the concatenation over tasks (in
    index order) reproduces the sequential sample order exactly. *)
 type slot = {
-  s_query : query;
+  s_walk : Walk.t;
   s_tel : Telemetry.t;
   mutable s_first : float list;
   mutable s_later : float list;
@@ -178,29 +154,41 @@ type slot = {
   mutable s_seconds : float;
 }
 
+(* Every vicinity view, filled once on the pool before any router is built
+   or timed.  Disco's and NDDisco's compile read all n views; filling them
+   here makes that a shared testbed phase (like the NDDisco build itself)
+   instead of a cost charged to whichever router compiles first.  The
+   memo is fill-safe across domains. *)
+let fill_vicinities pool (tb : Testbed.t) =
+  let vicinity = (Testbed.nd tb).Disco_core.Nddisco.vicinity in
+  ignore
+    (pool_map pool
+       (Array.init (Graph.n tb.Testbed.graph) Fun.id)
+       (fun v -> ignore (Disco_core.Vicinity.view vicinity v : Disco_core.Vicinity.view))
+      : unit array)
+
 let sample_pairs ?(pairs = 2000) ?(dests_per_src = 8) ?(purpose = 11)
     ?(jobs = 1) ?tel ~routers (tb : Testbed.t) =
   let graph = tb.Testbed.graph in
   let n = Graph.n graph in
   with_jobs jobs (fun pool ->
+      fill_vicinities pool tb;
       let routers = Array.of_list routers in
       (* Build phase: router builds are independent (each draws from its own
          derived RNG stream), so they fan out over the pool too. *)
-      let built =
-        match pool with
-        | Some p -> Pool.run p routers (fun r -> instantiate r tb)
-        | None -> Array.map (fun r -> instantiate r tb) routers
-      in
+      let built = pool_map pool routers (fun r -> instantiate r tb) in
       let rng = Testbed.rng tb ~purpose in
       let groups = draw_pairs ~dests_per_src rng ~n ~pairs in
       let tasks = plan ~seed:(Rng.derive tb.Testbed.seed purpose) groups in
+      let stretch ~dist sc = if dist <= 0.0 then 1.0 else Walk.length graph sc /. dist in
       let accs =
         run ?pool ?tel graph tasks
+          ~scratch:(fun () -> Walk.scratch graph)
           ~init:(fun _ ->
             Array.map
               (fun b ->
                 {
-                  s_query = b.b_fork ();
+                  s_walk = b.b_fork ();
                   s_tel = Telemetry.create ();
                   s_first = [];
                   s_later = [];
@@ -209,24 +197,24 @@ let sample_pairs ?(pairs = 2000) ?(dests_per_src = 8) ?(purpose = 11)
                   s_seconds = 0.0;
                 })
               built)
-          ~visit:(fun slots ~tel:_ ~src ~dst ~dist ->
+          ~visit:(fun slots sc ~tel:_ ~src ~dst ~dist ->
             Array.iter
               (fun s ->
                 let t0 = now () in
                 Telemetry.route_call s.s_tel;
-                (match s.s_query.q_first ~tel:s.s_tel ~src ~dst with
-                | Some path ->
-                    s.s_first <- path_stretch graph ~dist path :: s.s_first
-                | None ->
-                    Telemetry.route_failure s.s_tel;
-                    s.s_first_failures <- s.s_first_failures + 1);
+                Walk.run s.s_walk sc ~tel:s.s_tel Walk.First ~src ~dst;
+                if Walk.delivered sc then s.s_first <- stretch ~dist sc :: s.s_first
+                else begin
+                  Telemetry.route_failure s.s_tel;
+                  s.s_first_failures <- s.s_first_failures + 1
+                end;
                 Telemetry.route_call s.s_tel;
-                (match s.s_query.q_later ~tel:s.s_tel ~src ~dst with
-                | Some path ->
-                    s.s_later <- path_stretch graph ~dist path :: s.s_later
-                | None ->
-                    Telemetry.route_failure s.s_tel;
-                    s.s_later_failures <- s.s_later_failures + 1);
+                Walk.run s.s_walk sc ~tel:s.s_tel Walk.Later ~src ~dst;
+                if Walk.delivered sc then s.s_later <- stretch ~dist sc :: s.s_later
+                else begin
+                  Telemetry.route_failure s.s_tel;
+                  s.s_later_failures <- s.s_later_failures + 1
+                end;
                 s.s_seconds <- s.s_seconds +. (now () -. t0))
               slots)
       in

@@ -60,9 +60,11 @@ val run :
   ?tel:Disco_util.Telemetry.t ->
   Disco_graph.Graph.t ->
   task array ->
+  scratch:(unit -> 's) ->
   init:(task -> 'acc) ->
   visit:
     ('acc ->
+    's ->
     tel:Disco_util.Telemetry.t ->
     src:int ->
     dst:int ->
@@ -72,12 +74,15 @@ val run :
 (** Execute the plan: per task, one SSSP oracle for [t_src] (counted on
     the task's private telemetry, which [visit] also receives), then
     [visit] for every reachable destination with its true distance.
-    Accumulators come back in task-index order, and per-task telemetry is
-    folded into [?tel] in that same order — so the outcome is identical
-    whether the tasks ran inline (no [pool], or a 1-job pool) or on
-    [pool]. [init]/[visit] must touch nothing shared; the engine's own
-    callers get that for free via forked router handles
-    ({!Protocol.ROUTER.fork}). *)
+    Each worker is lent one Dijkstra workspace for the oracles and one
+    [scratch ()] value, which [visit] receives
+    ({!Disco_util.Pool.run_with}); both are scratch, never observable in
+    results.  Accumulators come back in task-index order, and per-task
+    telemetry is folded into [?tel] in that same order — so the outcome
+    is identical whether the tasks ran inline (no [pool], or a 1-job
+    pool) or on [pool]. [init]/[visit] must touch nothing shared beyond
+    the lent scratch; the engine's own callers get that for free via
+    forked router handles ({!Protocol.ROUTER.fork}). *)
 
 val map_groups :
   ?jobs:int ->
@@ -103,28 +108,6 @@ val map_pairs :
   'b array
 (** [draw_pairs] + {!map_groups}. *)
 
-val iter_groups :
-  ?tel:Disco_util.Telemetry.t ->
-  Disco_graph.Graph.t ->
-  (int * int list) list ->
-  (src:int -> dst:int -> dist:float -> unit) ->
-  unit
-[@@ocaml.deprecated "use Engine.plan/Engine.run (or Engine.map_groups)"]
-(** Sequential closure-style loop over a drawn plan.
-    @deprecated the task API supersedes it. *)
-
-val iter_pairs :
-  ?tel:Disco_util.Telemetry.t ->
-  ?dests_per_src:int ->
-  pairs:int ->
-  Disco_util.Rng.t ->
-  Disco_graph.Graph.t ->
-  (src:int -> dst:int -> dist:float -> unit) ->
-  unit
-[@@ocaml.deprecated "use Engine.map_pairs"]
-(** [draw_pairs] + [iter_groups].
-    @deprecated the task API supersedes it. *)
-
 type sampled = {
   router : string;
   flat_names : string;
@@ -135,7 +118,7 @@ type sampled = {
   state : float array;  (** per-node state entries *)
   tel : Disco_util.Telemetry.snapshot;
       (** per-router counters, frozen at measurement end *)
-  elapsed_s : float;  (** build + route time for this router *)
+  elapsed_s : float;  (** build + compile + route time for this router *)
 }
 
 val sample_pairs :
@@ -147,15 +130,19 @@ val sample_pairs :
   routers:Protocol.packed list ->
   Testbed.t ->
   sampled list
-(** Build every router over the testbed and measure them all on the same
-    sampled pairs (RNG stream [purpose], default 11). With [jobs > 1]
-    (default 1) the builds and the per-source tasks fan out over a domain
-    pool; each task queries forked router handles and private telemetry,
-    so every field except [elapsed_s] (wall-clock) is independent of
-    [jobs]. Per-router counters are merged into [tel] when given, and a
-    {!Results} entry is recorded per router under the current figure. *)
+(** Build and compile every router over the testbed and walk them all on
+    the same sampled pairs (RNG stream [purpose], default 11) through
+    {!Walk}. Every vicinity view of the testbed is filled first, as a
+    shared phase outside every router's [elapsed_s]. With [jobs > 1]
+    (default 1) the fill, the builds and the per-source tasks fan out over
+    a domain pool; each task walks forked router handles with private
+    telemetry on its worker's walk scratch, so every field except
+    [elapsed_s] (wall-clock) is independent of [jobs]. Per-router counters
+    are merged into [tel] when given, and a {!Results} entry is recorded
+    per router under the current figure. *)
 
 val state_array : Protocol.packed -> Testbed.t -> float array
-(** Build one router and collect its per-node state entries. *)
+(** Build one router and collect its per-node state entries (no compile:
+    state queries never touch the data plane). *)
 
 val find_sampled : string -> sampled list -> sampled option

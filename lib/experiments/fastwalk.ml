@@ -6,8 +6,7 @@
    ([fprime]) — then the timed loop is nothing but [decode_into] +
    [fast_walk] over one preallocated scratch packet.  Gc.minor_words
    around the loop confirms the L7 discipline at runtime: words/hop must
-   sit at ~0, every hop the typed walker would take is re-taken through
-   array indexing alone.  Rates are reported as hops/sec and packets/sec
+   sit at ~0, every hop taken through array indexing alone.  Rates are reported as hops/sec and packets/sec
    per scheme for first (resolving) and later (converged) headers. *)
 
 module Graph = Disco_graph.Graph
@@ -31,8 +30,8 @@ type row = {
 (* One scheme-kind batch: every flow's header on the wire, back to back. *)
 type batch = { srcs : int array; offsets : int array; arena : Bytes.t }
 
-(* Sampled flows, deterministic in the testbed seed (fresh stream so the
-   alloc figure's pair draw is untouched). *)
+(* Sampled flows, deterministic in the testbed seed (their own RNG
+   stream). *)
 let sample_flows tb ~count =
   let rng = Testbed.rng tb ~purpose:73 in
   let n = Graph.n tb.Testbed.graph in

@@ -6,8 +6,8 @@
     {!Disco_core.Dataplane.fast_walk} over a single preallocated scratch
     packet.  [Gc.minor_words] around the timed loop is the runtime
     counterpart of disco-lint's L7 proof: [words_per_hop] must sit at
-    ~0.  The typed walker remains the semantic oracle (disco-check's
-    fast≡typed differential); this figure only measures the rate. *)
+    ~0.  Correctness lives in disco-check's walk≡oracle differential;
+    this figure only measures the rate. *)
 
 type row = {
   scheme : string;
@@ -30,5 +30,4 @@ val measure : seed:int -> n:int -> flows:int -> reps:int -> row list
 
 val json_of_rows :
   seed:int -> n:int -> flows:int -> reps:int -> row list -> string
-(** The [BENCH_throughput.json] snapshot (hand-built, schema mirrors
-    [BENCH_alloc.json]). *)
+(** The [BENCH_throughput.json] snapshot (hand-built). *)

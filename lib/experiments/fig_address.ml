@@ -67,8 +67,8 @@ let header (cfg : Engine.config) =
   in
   Report.table ~header:[ "heuristic"; "header-bytes mean"; "p95"; "max" ] rows;
   Report.kv "note" "20B self-certifying name included in every header";
-  (* Walked header cost across every registered scheme: the shared walker
-     accounts the header as carried at each sending node, so these are
+  (* Walked header cost across every registered scheme: each walk's trace
+     reads the header each sending node puts on the link, so these are
      data-plane measurements, not static address sizes. A smaller testbed
      keeps the expensive control planes (VRR's ring setup) affordable. *)
   let wn = 1024 in
@@ -76,21 +76,21 @@ let header (cfg : Engine.config) =
   let graph = wtb.Testbed.graph in
   let wrng = Testbed.rng wtb ~purpose:61 in
   let tel = cfg.Engine.tel in
+  let sc = Walk.scratch graph in
   let scheme_rows =
     List.map
       (fun packed ->
         let module R = (val packed : Protocol.ROUTER) in
-        let module D = Core.Dataplane in
-        let rt = R.build wtb in
+        let walker = Walk.compile (module R) (R.build wtb) ~graph in
         let maxes = ref [] and per_hop = ref [] in
         for _ = 1 to 300 do
           let s = Rng.int wrng wn and t = Rng.int wrng wn in
           if s <> t then begin
-            let tr = Walk.first_trace (module R) rt ~tel ~graph ~src:s ~dst:t in
-            if tr.D.hops > 0 then begin
-              maxes := float_of_int tr.D.header_bytes_max :: !maxes;
+            let tr = Walk.trace walker sc ~tel Walk.First ~src:s ~dst:t in
+            if tr.Walk.hops > 0 then begin
+              maxes := float_of_int tr.Walk.header_bytes_max :: !maxes;
               per_hop :=
-                (float_of_int tr.D.header_bytes_total /. float_of_int tr.D.hops)
+                (float_of_int tr.Walk.header_bytes_total /. float_of_int tr.Walk.hops)
                 :: !per_hop
             end
           end

@@ -53,11 +53,13 @@ let fate (cfg : Engine.config) =
   (* The disrupted flows are walked first packets, not oracle routes: a
      node is "on the flow" iff the data plane actually carries the packet
      through it. *)
+  let sc = Walk.scratch graph in
   let first packed =
     let module R = (val packed : Protocol.ROUTER) in
-    let rt = R.build tb in
+    let walker = Walk.compile (module R) (R.build tb) ~graph in
     fun ~src ~dst ->
-      (Walk.first_trace (module R) rt ~tel ~graph ~src ~dst).Disco_core.Dataplane.path
+      Walk.run walker sc ~tel Walk.First ~src ~dst;
+      Walk.path sc
   in
   let disco_first = first (Routers.find_exn "disco") in
   let s4_first = first (Routers.find_exn "s4") in

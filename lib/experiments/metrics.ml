@@ -160,10 +160,11 @@ let congestion ?(with_vrr = false) ?tel (tb : Testbed.t) =
   let tel =
     match tel with Some t -> t | None -> Disco_util.Telemetry.create ()
   in
+  let sc = Walk.scratch tb.graph in
   let later packed =
     let module R = (val packed : Protocol.ROUTER) in
-    let rt = R.build tb in
-    fun ~src ~dst -> Walk.later (module R) rt ~tel ~graph:tb.graph ~src ~dst
+    let walker = Walk.compile (module R) (R.build tb) ~graph:tb.graph in
+    fun ~src ~dst -> Walk.route walker sc ~tel Walk.Later ~src ~dst
   in
   let disco_later = later (Routers.find_exn "disco") in
   let s4_later = later (Routers.find_exn "s4") in

@@ -15,8 +15,6 @@ module type ROUTER = sig
   val later_header :
     t -> tel:Telemetry.t -> src:int -> dst:int -> Dataplane.header
 
-  val forward : t -> Dataplane.header -> at:int -> Dataplane.decision
-
   val oracle_first :
     t -> tel:Telemetry.t -> src:int -> dst:int -> int list option
 

@@ -8,15 +8,21 @@
     engine ({!module:Engine}), the figures, the bench harness and
     [disco-sim] all select schemes by registry name.
 
-    A scheme exposes two faces of the same protocol:
+    A scheme is one data plane plus an independent check of it:
 
-    - a {e data plane} — a per-hop {!val:ROUTER.forward} function plus the
-      headers sources emit. The shared walker ({!module:Walk}) executes it
-      hop by hop; this is what the engine and every figure measure.
+    - the {e data plane} — the headers sources emit
+      ({!val:ROUTER.first_header}/{!val:ROUTER.later_header}) and one
+      compiled per-hop forward ({!val:ROUTER.compile}), node-local state
+      flattened into arrays and walked by
+      {!Disco_core.Dataplane.fast_walk}.  {!module:Walk} runs it for the
+      engine, every figure, disco-check and [disco-sim trace]; the
+      throughput bench times it.
     - two {e oracles} — {!val:ROUTER.oracle_first}/{!val:ROUTER.oracle_later},
       the closed-form route computations from the simulator's global view.
       They exist to check the data plane (disco-check's walk ≡ oracle
-      differential), not to produce results.
+      differential), not to produce results — except where walking would
+      force state that does not fit in memory (the scaling bench at
+      n ≥ 10^5, whose numbers the walk ≡ oracle contract makes equal).
 
     Adding a scheme is a one-registration change:
     + implement [ROUTER] (usually a thin adapter over an existing module),
@@ -59,19 +65,12 @@ module type ROUTER = sig
       it (address, handshake path, location). Schemes without a handshake
       emit the same header as {!first_header}. *)
 
-  val forward :
-    t -> Disco_core.Dataplane.header -> at:int -> Disco_core.Dataplane.decision
-  (** One forwarding decision at node [at], consulting only state that
-      node holds (plus the header). Pure: all in-flight protocol state
-      lives in the header, so the walker — and disco-check — can replay
-      and diff decisions freely. *)
-
   val oracle_first :
     t -> tel:Disco_util.Telemetry.t -> src:int -> dst:int -> int list option
   (** The closed-form first-packet route from the global view. [None]
       means the scheme cannot deliver (e.g. BVR stuck in a local minimum).
-      Must agree with walking {!forward} from {!first_header} on delivery
-      and weighted length (node sequences may differ only for schemes
+      Must agree with walking the compiled forward from {!first_header} on
+      delivery and weighted length (node sequences may differ only for schemes
       whose shortcutting can divert at several equivalent points). *)
 
   val oracle_later :
@@ -89,26 +88,26 @@ module type ROUTER = sig
       The [state] figure and the scaling bench plot this directly. *)
 
   val fork : t -> t
-  (** A query handle that can route and forward concurrently with the
-      original from another domain: shared converged state is immutable
-      and may alias, but any query-time mutable scratch must either be
-      private to the returned handle (the path-vector oracle forks its
-      SSSP memo and workspace) or live behind {!Disco_util.Pool.Memo} (the
-      demand-filled landmark/vicinity/ball/tree caches in Disco, NDDisco,
-      S4, Seattle and TZ, whose cross-pair amortization is the point of
-      sharing). Fork is therefore the identity for every adapter except
-      path-vector — walker state (per-packet headers, traces, byte
-      accounting) is local to each {!Walk} call, never stored on [t].
-      Forked handles feed the parallel engine ({!Engine.run});
-      [state_entries] is only called on the original. *)
+  (** A query handle that can emit headers and run oracles concurrently
+      with the original from another domain: shared converged state is
+      immutable and may alias, but any query-time mutable scratch must
+      either be private to the returned handle (the path-vector oracle
+      forks its SSSP memo and workspace) or live behind
+      {!Disco_util.Pool.Memo} (the demand-filled landmark/vicinity/ball/tree
+      caches in Disco, NDDisco, S4, Seattle and TZ, whose cross-pair
+      amortization is the point of sharing). Fork is therefore the identity
+      for every adapter except path-vector.  Walker state (the packet and
+      its hop trail) lives in {!Walk.scratch}, never on [t].  Forked
+      handles feed the parallel engine ({!Engine.run}); [state_entries] is
+      only called on the original. *)
 
   val compile : t -> Disco_core.Dataplane.fast_plan
-  (** The scheme's zero-alloc face: node-local state flattened into int
-      arrays so [fstep] is array indexing with no allocation per hop
+  (** The scheme's data plane: node-local state flattened into int arrays
+      so [fstep] is array indexing with no allocation per hop
       ({!Disco_core.Dataplane.fast_walk} runs it).  [fprime ~src ~dst]
-      forces any lazily-built per-flow state at setup time.  The typed
-      {!forward} stays the oracle: disco-check's fast≡typed differential
-      holds the two walkers to the same hop sequence and verdict. *)
+      forces any lazily-built per-flow state at setup time, so [compile]
+      plus [fprime] is all a walk needs; the plan may be shared across
+      domains (priming only ever writes the same value into a slot). *)
 end
 
 type packed = (module ROUTER)

@@ -25,7 +25,6 @@ module Disco_router = struct
 
   let first_header t ~tel:_ ~src ~dst = Core.Forwarding.first_header t ~src ~dst
   let later_header t ~tel:_ ~src ~dst = Core.Forwarding.later_header t ~src ~dst
-  let forward = Core.Forwarding.forward
 
   let oracle_first t ~tel:_ ~src ~dst =
     Some
@@ -68,8 +67,6 @@ module Nddisco_router = struct
 
   let later_header t ~tel:_ ~src ~dst =
     Core.Forwarding.later_header_nd t.nd ~src ~dst
-
-  let forward t h ~at = Core.Forwarding.forward_nd t.nd h ~at
 
   let oracle_first t ~tel:_ ~src ~dst =
     Some
@@ -138,7 +135,6 @@ module S4_router = struct
   let ttl_factor = S4.ttl_factor
   let first_header t ~tel:_ ~src ~dst = S4.first_header t.s4 ~src ~dst
   let later_header t ~tel:_ ~src ~dst = S4.later_header t.s4 ~src ~dst
-  let forward t h ~at = S4.forward t.s4 h ~at
   let oracle_first t ~tel:_ ~src ~dst = Some (S4.route_first t.s4 ~src ~dst)
   let oracle_later t ~tel:_ ~src ~dst = Some (S4.route_later t.s4 ~src ~dst)
 
@@ -175,7 +171,6 @@ module Vrr_router = struct
      the virtual ring. *)
   let first_header t ~tel:_ ~src ~dst = Vrr.packet_header t.vrr ~src ~dst
   let later_header = first_header
-  let forward t h ~at = Vrr.forward t.vrr h ~at
   let oracle_first t ~tel:_ ~src ~dst = Vrr.route t.vrr ~src ~dst
   let oracle_later = oracle_first
   let state_entries t v = t.state.(v)
@@ -204,7 +199,6 @@ module Bvr_router = struct
      the beacons); greedy forwarding does not change after a handshake. *)
   let first_header t ~tel:_ ~src ~dst = Bvr.packet_header t ~src ~dst
   let later_header = first_header
-  let forward = Bvr.forward
   let oracle_first t ~tel:_ ~src ~dst = Bvr.route t ~src ~dst
   let oracle_later = oracle_first
   let state_entries t v = Bvr.state_entries t v
@@ -230,7 +224,6 @@ module Seattle_router = struct
   let ttl_factor = Seattle.ttl_factor
   let first_header t ~tel:_ ~src ~dst = Seattle.first_header t ~src ~dst
   let later_header t ~tel:_ ~src ~dst = Seattle.later_header t ~src ~dst
-  let forward = Seattle.forward
   let oracle_first t ~tel:_ ~src ~dst = Some (Seattle.route_first t ~src ~dst)
   let oracle_later t ~tel:_ ~src ~dst = Some (Seattle.route_later t ~src ~dst)
   let state_entries t v = Seattle.state_entries t v
@@ -265,7 +258,6 @@ module Tz_router = struct
   let ttl_factor = Tz.ttl_factor
   let first_header t ~tel:_ ~src ~dst = Tz.packet_header t ~src ~dst
   let later_header = first_header
-  let forward = Tz.forward
   let oracle_first t ~tel:_ ~src ~dst = Tz.route t ~src ~dst
   let oracle_later = oracle_first
   let state_entries t v = Tz.state t v
@@ -328,19 +320,6 @@ module Pathvector_router = struct
       | [] -> D.plain ~dst D.Carry
 
   let later_header = first_header
-
-  let forward _t (h : D.header) ~at:u =
-    if u = h.D.dst then D.Deliver
-    else
-      (* disco-lint: allow L7 the scrutinee pairs phase and labels: per-decision by design *)
-      match (h.D.phase, h.D.labels) with
-      | D.Carry, next :: rest ->
-          (* disco-lint: allow L7 fresh immutable header per hop is the Rewrite contract *)
-          D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-      | D.Carry, [] -> D.Drop D.No_route
-      | (D.Seek _ | D.Steer _ | D.Greedy | D.Fallback), _ ->
-          (* disco-lint: allow L7 drop-path diagnostic, not per-hop steady state *)
-          D.Drop (D.Protocol_error "pathvector: foreign header phase")
 
   let oracle_first t ~tel ~src ~dst =
     let sp = sssp t ~tel src in

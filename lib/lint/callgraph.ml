@@ -11,8 +11,8 @@
 
    Names: a definition's key is "Unit.Sub.name" with dune's "__" wrapper
    mangling folded to "." (Hot_manifest.key), so "Disco_core__Forwarding
-   .forward" and a call written "Disco_core.Forwarding.forward" collide as
-   intended.
+   .fast_step" and a call written "Disco_core.Forwarding.fast_step" collide
+   as intended.
 
    Approximations (documented in DESIGN.md §5b): a locally let-bound
    closure's facts are attributed to its enclosing definition; calls

@@ -7,29 +7,15 @@
    resolve to a definition in the loaded .cmt set).
 
    Names are written the way a caller writes them ("Disco_core.Forwarding
-   .forward"); [key] folds dune's wrapped-module mangling ("Disco_core__
-   Forwarding.forward") onto the same string so manifest entries, resolved
+   .fast_step"); [key] folds dune's wrapped-module mangling ("Disco_core__
+   Forwarding.fast_step") onto the same string so manifest entries, resolved
    typedtree paths and analyzer def keys all compare equal. *)
 
-(* One entry per registered routing scheme: the registry name and the
-   data-plane [forward] that scheme executes per hop.  test_lint_typed pins
-   this list against Disco_experiments.Routers.names (). *)
-let forward_of_scheme =
-  [
-    ("disco", "Disco_core.Forwarding.forward");
-    ("nddisco", "Disco_core.Forwarding.forward_nd");
-    ("s4", "Disco_baselines.S4.forward");
-    ("vrr", "Disco_baselines.Vrr.forward");
-    ("bvr", "Disco_baselines.Bvr.forward");
-    ("seattle", "Disco_baselines.Seattle.forward");
-    ("tz", "Disco_baselines.Tz_hierarchy.forward");
-    ("pathvector", "Disco_experiments.Routers.Pathvector_router.forward");
-  ]
-
-(* One entry per registered scheme's {e compiled} forward — the zero-alloc
-   face behind [Protocol.ROUTER.compile].  Unlike the typed forwards these
-   admit no per-hop allocation waivers: L7 findings here are build
-   breaks.  test_lint_typed pins this list against Routers.names () too. *)
+(* One entry per registered scheme: the registry name and the compiled
+   forward behind [Protocol.ROUTER.compile] — the one data plane that
+   scheme executes per hop.  These admit no per-hop allocation waivers:
+   L7 findings here are build breaks.  test_lint_typed pins this list
+   against Disco_experiments.Routers.names (). *)
 let fast_of_scheme =
   [
     ("disco", "Disco_core.Forwarding.fast_step");
@@ -46,8 +32,6 @@ let fast_of_scheme =
    name digests, and the CSR accessors every per-hop decision touches. *)
 let extras =
   [
-    "Disco_core.Dataplane.walk";
-    "Disco_core.Dataplane.byte_size";
     "Disco_core.Dataplane.fast_walk";
     "Disco_core.Dataplane.decode_into";
     "Disco_graph.Graph.neighbor_at";
@@ -70,11 +54,10 @@ let extras =
 let task_apis =
   [
     "Disco_util.Pool.run";
+    "Disco_util.Pool.run_with";
     "Disco_experiments.Engine.run";
     "Disco_experiments.Engine.map_groups";
     "Disco_experiments.Engine.map_pairs";
-    "Disco_experiments.Engine.iter_groups";
-    "Disco_experiments.Engine.iter_pairs";
     "Disco_experiments.Engine.sample_pairs";
   ]
 
@@ -103,7 +86,6 @@ let key name =
   go 0;
   Buffer.contents buf
 
-let hot_names () =
-  extras @ List.map snd forward_of_scheme @ List.map snd fast_of_scheme
+let hot_names () = extras @ List.map snd fast_of_scheme
 let hot_keys () = List.map key (hot_names ())
 let task_api_keys () = List.map key task_apis

@@ -1,10 +1,9 @@
 (** Minimal JSON reader for the benchmark gates.
 
     The repo's benches write their own JSON snapshots
-    ([BENCH_alloc.json], [BENCH_scaling.json]) and later read them back —
-    to gate a rerun against a committed baseline, or to resume a scaling
+    ([BENCH_scaling.json]) and later read them back to resume a scaling
     sweep from its last checkpoint.  Reading them structurally (rather
-    than scanning for byte offsets of known keys) keeps the gates correct
+    than scanning for byte offsets of known keys) keeps the resume correct
     when members are reordered or reformatted.
 
     Subset notes: numbers are [float]s, [\u] escapes cover the BMP only

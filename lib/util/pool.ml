@@ -13,7 +13,7 @@
 type t = {
   jobs : int;
   mutex : Mutex.t;
-  pending : (unit -> unit) Queue.t;
+  pending : (int -> unit) Queue.t;
   wake : Condition.t;  (* workers: work arrived or shutdown *)
   idle : Condition.t;  (* caller: a batch finished *)
   mutable stop : bool;
@@ -24,7 +24,7 @@ let default_jobs () = Domain.recommended_domain_count ()
 let resolve_jobs n = if n <= 0 then default_jobs () else n
 let jobs t = t.jobs
 
-let worker t =
+let worker t slot =
   let rec loop () =
     Mutex.lock t.mutex;
     let rec take () =
@@ -41,7 +41,7 @@ let worker t =
     match job with
     | None -> ()
     | Some thunk ->
-        thunk ();
+        thunk slot;
         loop ()
   in
   loop ()
@@ -59,7 +59,8 @@ let create ~jobs =
       workers = [];
     }
   in
-  t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker t));
+  t.workers <-
+    List.init (jobs - 1) (fun i -> Domain.spawn (fun () -> worker t (i + 1)));
   t
 
 let shutdown t =
@@ -112,17 +113,30 @@ module Memo = struct
     n
 end
 
-let run_sequential input f = Array.map f input
+(* One scratch value per worker slot, created on the worker's first task.
+   Slot [w] is only ever touched by the domain holding slot [w], so the
+   lazily filled array needs no lock. *)
+let lend slots make w =
+  match slots.(w) with
+  | Some s -> s
+  | None ->
+      let s = make () in
+      slots.(w) <- Some s;
+      s
 
-let run t input f =
+let run_with t ~scratch input f =
   let n = Array.length input in
-  if t.jobs = 1 || n <= 1 then run_sequential input f
+  if t.jobs = 1 || n <= 1 then begin
+    let slots = [| None |] in
+    Array.map (fun x -> f (lend slots scratch 0) x) input
+  end
   else begin
+    let slots = Array.make t.jobs None in
     let results = Array.make n None in
     let errors = Array.make n None in
     let remaining = ref n in
-    let task i () =
-      (match f input.(i) with
+    let task i w =
+      (match f (lend slots scratch w) input.(i) with
       | v -> results.(i) <- Some v
       | exception e -> errors.(i) <- Some e);
       Mutex.lock t.mutex;
@@ -136,14 +150,15 @@ let run t input f =
     done;
     Condition.broadcast t.wake;
     Mutex.unlock t.mutex;
-    (* The calling domain is a worker too, for the duration of the batch. *)
+    (* The calling domain is a worker too (slot 0), for the duration of the
+       batch. *)
     let rec help () =
       Mutex.lock t.mutex;
       let job = Queue.take_opt t.pending in
       Mutex.unlock t.mutex;
       match job with
       | Some thunk ->
-          thunk ();
+          thunk 0;
           help ()
       | None -> ()
     in
@@ -160,3 +175,5 @@ let run t input f =
         | None -> invalid_arg "Pool.run: task produced no result")
       results
   end
+
+let run t input f = run_with t ~scratch:ignore input (fun () x -> f x)

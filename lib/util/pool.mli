@@ -43,6 +43,15 @@ val run : t -> 'a array -> ('a -> 'b) -> 'b array
     itself call {!run} on the same pool. With [jobs t = 1] (or fewer than
     two tasks) this is an ordinary sequential loop. *)
 
+val run_with : t -> scratch:(unit -> 's) -> 'a array -> ('s -> 'a -> 'b) -> 'b array
+(** {!run}, lending every worker one scratch value: [f s x] receives the
+    value belonging to the worker that runs it, created with [scratch ()]
+    on that worker's first task of the batch and reused for the rest.
+    No scratch value is ever seen by two workers, so task bodies may
+    mutate theirs freely (a Dijkstra workspace, a packet buffer); a
+    sequential run creates exactly one.  Results must not depend on the
+    scratch's prior contents, or they would depend on scheduling. *)
+
 val shutdown : t -> unit
 (** Join the workers. Idempotent; the pool must not be used afterwards. *)
 

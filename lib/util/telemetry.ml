@@ -13,8 +13,6 @@ type t = {
   mutable packets_delivered : int;
   mutable packets_dropped : int;
   mutable hops_forwarded : int;
-  mutable header_rewrites : int;
-  mutable header_bytes : int;
 }
 
 let create () =
@@ -28,8 +26,6 @@ let create () =
     packets_delivered = 0;
     packets_dropped = 0;
     hops_forwarded = 0;
-    header_rewrites = 0;
-    header_bytes = 0;
   }
 
 let reset t =
@@ -41,9 +37,7 @@ let reset t =
   t.packets_walked <- 0;
   t.packets_delivered <- 0;
   t.packets_dropped <- 0;
-  t.hops_forwarded <- 0;
-  t.header_rewrites <- 0;
-  t.header_bytes <- 0
+  t.hops_forwarded <- 0
 
 let route_call t = t.route_calls <- t.route_calls + 1
 let route_failure t = t.route_failures <- t.route_failures + 1
@@ -51,13 +45,11 @@ let resolution_fallback t = t.resolution_fallbacks <- t.resolution_fallbacks + 1
 let message_sent t = t.messages_sent <- t.messages_sent + 1
 let sssp_run t = t.sssp_runs <- t.sssp_runs + 1
 
-let packet_walked t ~delivered ~hops ~rewrites ~header_bytes =
+let packet_walked t ~delivered ~hops =
   t.packets_walked <- t.packets_walked + 1;
   if delivered then t.packets_delivered <- t.packets_delivered + 1
   else t.packets_dropped <- t.packets_dropped + 1;
-  t.hops_forwarded <- t.hops_forwarded + hops;
-  t.header_rewrites <- t.header_rewrites + rewrites;
-  t.header_bytes <- t.header_bytes + header_bytes
+  t.hops_forwarded <- t.hops_forwarded + hops
 
 let add ~into t =
   into.route_calls <- into.route_calls + t.route_calls;
@@ -68,9 +60,7 @@ let add ~into t =
   into.packets_walked <- into.packets_walked + t.packets_walked;
   into.packets_delivered <- into.packets_delivered + t.packets_delivered;
   into.packets_dropped <- into.packets_dropped + t.packets_dropped;
-  into.hops_forwarded <- into.hops_forwarded + t.hops_forwarded;
-  into.header_rewrites <- into.header_rewrites + t.header_rewrites;
-  into.header_bytes <- into.header_bytes + t.header_bytes
+  into.hops_forwarded <- into.hops_forwarded + t.hops_forwarded
 
 let merge ts =
   let into = create () in
@@ -87,8 +77,6 @@ type snapshot = {
   packets_delivered : int;
   packets_dropped : int;
   hops_forwarded : int;
-  header_rewrites : int;
-  header_bytes : int;
 }
 
 let snapshot (t : t) =
@@ -102,32 +90,27 @@ let snapshot (t : t) =
     packets_delivered = t.packets_delivered;
     packets_dropped = t.packets_dropped;
     hops_forwarded = t.hops_forwarded;
-    header_rewrites = t.header_rewrites;
-    header_bytes = t.header_bytes;
   }
 
 let render ~route_calls ~route_failures ~resolution_fallbacks ~messages_sent
     ~sssp_runs ~packets_walked ~packets_delivered ~packets_dropped
-    ~hops_forwarded ~header_rewrites ~header_bytes =
+    ~hops_forwarded =
   Printf.sprintf
     "route_calls=%d failures=%d fallbacks=%d messages=%d sssp_runs=%d \
-     walks=%d delivered=%d dropped=%d hops=%d rewrites=%d header_bytes=%d"
+     walks=%d delivered=%d dropped=%d hops=%d"
     route_calls route_failures resolution_fallbacks messages_sent sssp_runs
     packets_walked packets_delivered packets_dropped hops_forwarded
-    header_rewrites header_bytes
 
 let to_string (t : t) =
   render ~route_calls:t.route_calls ~route_failures:t.route_failures
     ~resolution_fallbacks:t.resolution_fallbacks ~messages_sent:t.messages_sent
     ~sssp_runs:t.sssp_runs ~packets_walked:t.packets_walked
     ~packets_delivered:t.packets_delivered ~packets_dropped:t.packets_dropped
-    ~hops_forwarded:t.hops_forwarded ~header_rewrites:t.header_rewrites
-    ~header_bytes:t.header_bytes
+    ~hops_forwarded:t.hops_forwarded
 
 let snapshot_to_string (s : snapshot) =
   render ~route_calls:s.route_calls ~route_failures:s.route_failures
     ~resolution_fallbacks:s.resolution_fallbacks ~messages_sent:s.messages_sent
     ~sssp_runs:s.sssp_runs ~packets_walked:s.packets_walked
     ~packets_delivered:s.packets_delivered ~packets_dropped:s.packets_dropped
-    ~hops_forwarded:s.hops_forwarded ~header_rewrites:s.header_rewrites
-    ~header_bytes:s.header_bytes
+    ~hops_forwarded:s.hops_forwarded

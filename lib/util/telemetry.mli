@@ -22,8 +22,6 @@ type t = {
   mutable packets_delivered : int;  (** walks that reached the destination *)
   mutable packets_dropped : int;  (** walks dropped (TTL, loop, no route) *)
   mutable hops_forwarded : int;  (** individual forwarding decisions taken *)
-  mutable header_rewrites : int;  (** in-flight header rewrites *)
-  mutable header_bytes : int;  (** header bytes carried, summed per hop *)
 }
 
 val create : unit -> t
@@ -34,10 +32,8 @@ val resolution_fallback : t -> unit
 val message_sent : t -> unit
 val sssp_run : t -> unit
 
-val packet_walked :
-  t -> delivered:bool -> hops:int -> rewrites:int -> header_bytes:int -> unit
-(** Record one finished data-plane walk: its outcome, per-hop decision
-    count, in-flight rewrites and total header bytes carried. *)
+val packet_walked : t -> delivered:bool -> hops:int -> unit
+(** Record one finished data-plane walk: its outcome and hop count. *)
 
 val add : into:t -> t -> unit
 (** Accumulate [t]'s counters into [into]. *)
@@ -57,8 +53,6 @@ type snapshot = {
   packets_delivered : int;
   packets_dropped : int;
   hops_forwarded : int;
-  header_rewrites : int;
-  header_bytes : int;
 }
 (** An immutable read view. Results that outlive the run (e.g.
     [Engine.sampled]) carry a [snapshot], never the live mutable [t], so a

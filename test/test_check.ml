@@ -65,17 +65,12 @@ module Detour_router = struct
   let first_header t ~tel:_ ~src ~dst = header_of ~dst (detour t ~src ~dst)
   let later_header t ~tel:_ ~src ~dst = header_of ~dst (shortest t ~src ~dst)
 
-  let forward _ (h : D.header) ~at:u =
-    match h.D.labels with
-    | next :: rest -> D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-    | [] -> if u = h.D.dst then D.Deliver else D.Drop D.No_route
-
   let state_entries _ _ = 0
   let state_bytes _ _ = 0.0
   let fork t = { t with ws = Dijkstra.make_workspace t.graph }
 
-  (* Same order as [forward]: consume labels before the deliver check, so
-     the detour bounce is walked in full on the fast path too. *)
+  (* Consume labels before the deliver check, so the detour bounce is
+     walked in full. *)
   let compile _t =
     {
       D.fstep =

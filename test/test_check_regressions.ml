@@ -75,19 +75,17 @@ let test_miscalibrated_bound_is_convicted () =
   Alcotest.(check bool) "s4 first-packet stretch > 3 detected" true
     s4_first_violation
 
-(* --- fast≡typed differential regressions ---------------------------------
+(* --- walk≡oracle regressions on the compiled data plane ----------------
 
-   The fastpath differential (Spec.fastpath) re-routes every sampled pair
-   through the wire codec and the compiled forward and demands the typed
-   walk's exact hop sequence and verdict.  Pinned both ways, like the S4
-   bound above: scenarios that exercise the differential on the real
-   registry stay green, and a router whose compiled face diverges from
-   its typed forward is convicted, shrunk, and the shrunk scenario is
-   pinned by its exact textual form. *)
+   Every sampled pair is walked on the scheme's compiled forward and held
+   to the oracle's delivery verdict and route.  Pinned both ways, like the
+   S4 bound above: scenarios that exercise the compiled walks on the real
+   registry stay green, and a router whose compiled forward diverges from
+   its oracle is convicted, shrunk, and the shrunk scenario is pinned by
+   its exact textual form. *)
 
-(* Scenarios replayed on the full registry; all specs have
-   [fastpath = true], so each of these runs the differential across all
-   eight schemes (families chosen to reach seek/steer/resolution modes). *)
+(* Scenarios replayed on the full registry, walking all eight schemes
+   (families chosen to reach seek/steer/resolution modes). *)
 let pinned_fastpath =
   [
     "seed=1150299863866387076,family=gnm,n=16,pairs=16,workload=uniform,churn=0";
@@ -104,10 +102,10 @@ let test_pinned_fastpath_green () =
              (List.map Violation.describe outcome.Runner.violations)))
     pinned_fastpath
 
-(* An honest typed carry router whose compiled face drops the final
-   label: the fast walk stops one hop short of every delivery.  Only the
-   fastpath differential can see this — oracle, stretch and walk checks
-   all pass. *)
+(* A carry router whose compiled forward drops the final label: the walk
+   stops one hop short of every delivery.  Its oracles are honest
+   shortest paths, so only the walk≡oracle differential can see this —
+   the oracle-side delivery, stretch and state checks all pass. *)
 module Lame_fast_router = struct
   module D = Disco_core.Dataplane
 
@@ -139,11 +137,6 @@ module Lame_fast_router = struct
 
   let first_header t ~tel:_ ~src ~dst = header_of ~dst (shortest t ~src ~dst)
   let later_header t ~tel:_ ~src ~dst = header_of ~dst (shortest t ~src ~dst)
-
-  let forward _ (h : D.header) ~at:u =
-    match h.D.labels with
-    | next :: rest -> D.Rewrite ({ h with D.labels = rest }, next, D.Label_hop)
-    | [] -> if u = h.D.dst then D.Deliver else D.Drop D.No_route
 
   let state_entries _ _ = 0
   let state_bytes _ _ = 0.0
@@ -185,7 +178,7 @@ let test_divergent_compile_convicted () =
     (fun v ->
       Alcotest.(check string) "convicted scheme" "lamefast" v.Violation.scheme;
       match v.Violation.kind with
-      | Violation.Fastpath_divergence _ -> ()
+      | Violation.Walk_divergence _ -> ()
       | k ->
           Alcotest.failf "unexpected violation kind %s"
             (Violation.describe { v with Violation.kind = k }))
@@ -197,11 +190,11 @@ let test_pinned_lame_shrunk_still_fails () =
   let outcome = Runner.run ~routers:(lame_routers ()) (scenario_exn pinned_lame_shrunk) in
   Alcotest.(check bool) "pinned shrunk scenario convicts" true
     (Runner.failed outcome);
-  Alcotest.(check bool) "as a fastpath divergence" true
+  Alcotest.(check bool) "as a walk divergence" true
     (List.exists
        (fun v ->
          match v.Violation.kind with
-         | Violation.Fastpath_divergence _ ->
+         | Violation.Walk_divergence _ ->
              String.equal v.Violation.scheme "lamefast"
          | _ -> false)
        outcome.Runner.violations);

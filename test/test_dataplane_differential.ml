@@ -1,5 +1,5 @@
 (* Walk ≡ oracle, for every registered scheme, across topology families
-   and seeds: the hop-by-hop data plane and the closed-form route
+   and seeds: the compiled hop-by-hop data plane and the closed-form route
    computation must agree on the delivery verdict; delivered walks must
    reproduce the oracle's node sequence (schemes whose forwarding replays
    the oracle step for step) or its weighted length (the shortcut schemes,
@@ -18,24 +18,22 @@ module Spec = Disco_check.Spec
 
 let pairs_per_world = 40
 
-let check_pair (module R : Protocol.ROUTER) ~spec ~g ~phase ~oracle
-    (tr : D.trace) ~src ~dst =
+let check_pair (module R : Protocol.ROUTER) ~spec ~g ~phase ~oracle sc ~src ~dst =
   let ctx = Printf.sprintf "%s %s %d->%d" R.name phase src dst in
-  (match tr.D.dropped with
-  | Some (D.Protocol_error e) -> Alcotest.failf "%s: protocol error: %s" ctx e
-  | _ -> ());
-  match (oracle, tr.D.delivered) with
+  if Walk.drop sc = D.drop_protocol then Alcotest.failf "%s: protocol error" ctx;
+  match (oracle, Walk.delivered sc) with
   | None, false -> ()
   | None, true -> Alcotest.failf "%s: walk delivered, oracle found no route" ctx
   | Some _, false -> Alcotest.failf "%s: oracle routes, walk dropped" ctx
   | Some path, true ->
-      Helpers.check_path g ~src ~dst tr.D.path;
+      let walked = Walk.path sc in
+      Helpers.check_path g ~src ~dst walked;
       if spec.Spec.walk_exact then begin
-        if tr.D.path <> path then
+        if walked <> path then
           Alcotest.failf "%s: walk path differs from the oracle's" ctx
       end
       else begin
-        let lw = Helpers.path_len g tr.D.path
+        let lw = Helpers.path_len g walked
         and lo = Helpers.path_len g path in
         if Float.abs (lw -. lo) > 1e-6 then
           Alcotest.failf "%s: walk length %.6f, oracle length %.6f" ctx lw lo
@@ -55,17 +53,19 @@ let check_world kind seed () =
       let module R = (val packed : Protocol.ROUTER) in
       let spec = Spec.find R.name in
       let rt = R.build tb in
+      let walker = Walk.compile (module R) rt ~graph:g in
+      let sc = Walk.scratch g in
       let tel = Telemetry.create () in
       List.iter
         (fun (src, dst) ->
+          Walk.run walker sc ~tel Walk.First ~src ~dst;
           check_pair (module R) ~spec ~g ~phase:"first"
             ~oracle:(R.oracle_first rt ~tel ~src ~dst)
-            (Walk.first_trace (module R) rt ~tel ~graph:g ~src ~dst)
-            ~src ~dst;
+            sc ~src ~dst;
+          Walk.run walker sc ~tel Walk.Later ~src ~dst;
           check_pair (module R) ~spec ~g ~phase:"later"
             ~oracle:(R.oracle_later rt ~tel ~src ~dst)
-            (Walk.later_trace (module R) rt ~tel ~graph:g ~src ~dst)
-            ~src ~dst)
+            sc ~src ~dst)
         worklist;
       (* The walker genuinely ran this scheme's data plane. *)
       if tel.Telemetry.packets_walked = 0 then

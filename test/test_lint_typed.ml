@@ -53,14 +53,20 @@ let every_positive_is_error () =
   Alcotest.(check int) "nothing demoted" 0 s.Driver.warnings
 
 let manifest_pins_registry () =
+  (* Each registered scheme has exactly one data plane on the manifest,
+     and it is among the names the typed pass treats as hot. *)
   let schemes = List.sort String.compare (Disco_experiments.Routers.names ()) in
   let manifest =
-    List.sort String.compare
-      (List.map fst Lint.Hot_manifest.forward_of_scheme)
+    List.sort String.compare (List.map fst Lint.Hot_manifest.fast_of_scheme)
   in
   Alcotest.(check (list string))
-    "one manifest forward per registered scheme" schemes manifest;
-  Alcotest.(check int) "eight registered schemes" 8 (List.length schemes)
+    "one manifest data plane per registered scheme" schemes manifest;
+  Alcotest.(check int) "eight registered schemes" 8 (List.length schemes);
+  let hot = Lint.Hot_manifest.hot_names () in
+  List.iter
+    (fun (_, path) ->
+      Alcotest.(check bool) (path ^ " is hot") true (List.mem path hot))
+    Lint.Hot_manifest.fast_of_scheme
 
 let manifest_pins_fast_registry () =
   (* The compiled face carries the same discipline: every registered

@@ -85,6 +85,55 @@ let test_resolve_jobs () =
     (Pool.default_jobs ()) (Pool.resolve_jobs 0);
   Alcotest.(check bool) "default is at least 1" true (Pool.default_jobs () >= 1)
 
+(* [run_with] lends each worker one scratch value.  Every task records
+   the domain it ran on into the scratch it was handed; a scratch seen by
+   two domains would be shared across workers.  Results may not depend on
+   the lending, so they match the sequential map for every jobs value. *)
+let test_run_with_scratch () =
+  let input = Array.init 64 Fun.id in
+  let work x =
+    let acc = ref 0 in
+    for k = 1 to (64 - x) * 500 do
+      acc := (!acc + k) land 0xFFFF
+    done;
+    ignore (Sys.opaque_identity !acc);
+    (x * x) + 1
+  in
+  let expected = Array.map work input in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let out =
+            Pool.run_with p ~scratch:(fun () -> ref []) input
+              (fun seen x ->
+                seen := (Domain.self () :> int) :: !seen;
+                (work x, seen))
+          in
+          Alcotest.(check (array int))
+            (Printf.sprintf "jobs=%d results equal the plain map" jobs)
+            expected (Array.map fst out);
+          let scratches =
+            Array.fold_left
+              (fun acc (_, s) -> if List.memq s acc then acc else s :: acc)
+              [] out
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d at most one scratch per worker" jobs)
+            true
+            (List.length scratches <= jobs && List.length scratches >= 1);
+          if jobs = 1 then
+            Alcotest.(check int) "jobs=1 creates exactly one scratch" 1
+              (List.length scratches);
+          List.iter
+            (fun s ->
+              match !s with
+              | [] -> Alcotest.fail "a lent scratch was never used"
+              | d :: rest ->
+                  if not (List.for_all (Int.equal d) rest) then
+                    Alcotest.failf "jobs=%d: one scratch used by two domains" jobs)
+            scratches))
+    [ 1; 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "jobs=1 is a plain map" `Quick test_sequential_jobs1;
@@ -93,4 +142,6 @@ let suite =
     Alcotest.test_case "lowest-index exception propagates" `Quick test_exception_propagates;
     Alcotest.test_case "reuse, empty and singleton batches" `Quick test_reuse_and_empty;
     Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
+    Alcotest.test_case "run_with lends one scratch per worker" `Quick
+      test_run_with_scratch;
   ]

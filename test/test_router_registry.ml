@@ -34,9 +34,9 @@ let test_duplicate_rejected () =
     (Invalid_argument "Protocol.register: duplicate router \"disco\"")
     (fun () -> Protocol.register disco)
 
-(* One pass over sampled pairs per router, through both faces of the
-   contract: walked data-plane paths and oracle routes are all valid and
-   no faster than the shortest path. *)
+(* One pass over sampled pairs per router, through both halves of the
+   contract: paths walked on the compiled data plane and oracle routes
+   are all valid and no faster than the shortest path. *)
 let check_router packed () =
   let module R = (val packed : Protocol.ROUTER) in
   let module Walk = Disco_experiments.Walk in
@@ -44,6 +44,8 @@ let check_router packed () =
   let g = tb.Testbed.graph in
   let n = Graph.n g in
   let router = R.build tb in
+  let walker = Walk.compile (module R) router ~graph:g in
+  let sc = Walk.scratch g in
   let tel = Telemetry.create () in
   for v = 0 to n - 1 do
     if R.state_entries router v < 0 then
@@ -71,8 +73,8 @@ let check_router packed () =
                   Alcotest.failf "%s %s: stretch %.4f < 1 for %d->%d" R.name label
                     stretch src dst)
           [
-            ("walk-first", fun rt -> Walk.first (module R) rt ~graph:g);
-            ("walk-later", fun rt -> Walk.later (module R) rt ~graph:g);
+            ("walk-first", fun _ -> Walk.route walker sc Walk.First);
+            ("walk-later", fun _ -> Walk.route walker sc Walk.Later);
             ("oracle-first", R.oracle_first);
             ("oracle-later", R.oracle_later);
           ]
