@@ -10,8 +10,10 @@ type t = {
   landmarks : Core.Landmarks.t;
   trees : Core.Landmark_trees.t;
   ring : Disco_hash.Consistent_hash.t;
-  ball_cache : (int, ball) Disco_util.Pool.Memo.t;
+  balls : (ball, Dijkstra.workspace) Disco_util.Pool.Memo.t;
 }
+
+let empty_ball = { bm = [||]; bd = [||]; bp = [||] }
 
 let build ?(params = Core.Params.default) ?names ?landmark_ids ~rng graph =
   let n = Graph.n graph in
@@ -34,7 +36,9 @@ let build ?(params = Core.Params.default) ?names ?landmark_ids ~rng graph =
     landmarks;
     trees = Core.Landmark_trees.create graph;
     ring;
-    ball_cache = Disco_util.Pool.Memo.create ~size:256 ();
+    balls =
+      Disco_util.Pool.Memo.create n ~empty:empty_ball ~scratch:(fun () ->
+          Dijkstra.make_workspace graph);
   }
 
 let graph t = t.graph
@@ -60,11 +64,11 @@ let ball_bytes b = 8 * ((3 * Array.length b.bm) + 1)
    [target] — the one representation both the route oracles and the
    compiled forward read. *)
 let ball t target =
-  (* Filled lazily from route calls, possibly inside pool tasks: the memo
-     serializes the table, and each fill gets its own scratch workspace
-     (results are copied out, so the cached ball is workspace-independent). *)
-  Disco_util.Pool.Memo.find_or_add t.ball_cache target (fun () ->
-      let ws = Dijkstra.make_workspace t.graph in
+  (* Filled lazily from route calls, possibly inside pool tasks: the store
+     publishes each ball once, and each fill runs on a workspace the store
+     lends (results are copied out, so the stored ball is
+     workspace-independent). *)
+  Disco_util.Pool.Memo.find_or_add t.balls target (fun ws ->
       let run = Dijkstra.within_radius ~ws t.graph target (radius t target) in
       let k = Array.length run.Dijkstra.order in
       let idx = Array.init k (fun i -> i) in
@@ -215,45 +219,19 @@ let first_header t ~src ~dst =
    table) holds the destination diverts — the per-hop form of the
    oracle's to-destination shortcutting; every such route is a shortest
    path, so walk length equals the oracle's even when the diversion
-   points differ.  Landmark trees become per-root parent arrays ([flm]),
-   and each destination's packed ball is shared as-is through the memo
-   ([fball]), both primed per flow; the shortcut check is a binary search
-   plus parent walks, and an unreachable landmark tree is a protocol
-   verdict. *)
+   points differ.  The step reads the landmark tree store's parent rows
+   and the ball store's packed balls in place; [fast_prime] fills the
+   ones a flow needs.  The shortcut check is a binary search plus parent
+   walks, an unfilled ball holds no members (so no node diverts), and an
+   unfilled or unreachable landmark tree is a protocol verdict. *)
 
-let empty_ball = { bm = [||]; bd = [||]; bp = [||] }
+let fast_prime_tree t lm = ignore (Core.Landmark_trees.parents t.trees ~lm : int array)
 
-type fast = {
-  fs4 : t;
-  fg : Graph.t;
-  fis_lm : bool array;
-  fnearest : int array;
-  flm : int array array; (* per landmark root: tree parents; [||] unprimed *)
-  fball : ball array; (* per destination, shared with the memo; unprimed = empty *)
-}
-
-let compile t =
-  let n = Graph.n t.graph in
-  {
-    fs4 = t;
-    fg = t.graph;
-    fis_lm = t.landmarks.Core.Landmarks.is_landmark;
-    fnearest = t.landmarks.Core.Landmarks.nearest;
-    flm = Array.make n [||];
-    fball = Array.make n empty_ball;
-  }
-
-let fast_prime_tree f lm =
-  if Array.length f.flm.(lm) = 0 then
-    f.flm.(lm) <- Core.Landmark_trees.parents f.fs4.trees ~lm
-
-let fast_prime f ~src:_ ~dst =
-  if f.fis_lm.(dst) then fast_prime_tree f dst
+let fast_prime t ~src:_ ~dst =
+  if t.landmarks.Core.Landmarks.is_landmark.(dst) then fast_prime_tree t dst
   else begin
-    fast_prime_tree f f.fnearest.(dst);
-    if Array.length f.fball.(dst).bm = 0 then
-      (* every ball contains its target, so a primed slot is never empty *)
-      f.fball.(dst) <- ball f.fs4 dst
+    fast_prime_tree t t.landmarks.Core.Landmarks.nearest.(dst);
+    ignore (ball t dst : ball)
   end
 
 (* [cluster_path]'s parent walk, split into a read-only probe (a broken
@@ -281,12 +259,12 @@ let rec fast_ball_fill (pkt : D.packet) members parents x i dst =
 (* Labels left: consume; none: [Carry] is out of route, [Steer] resolves
    at the waypoint (the destination's landmark writes the descent, any
    other arrival steers onward to that landmark). *)
-let fast_arrival f (pkt : D.packet) u dst m =
+let fast_arrival t (pkt : D.packet) u dst m =
   if D.route_len pkt > 0 then D.route_next pkt
   else if m = D.mode_carry then D.fast_no_route
   else begin
-    let lm = f.fnearest.(dst) in
-    let parents = f.flm.(lm) in
+    let lm = t.landmarks.Core.Landmarks.nearest.(dst) in
+    let parents = Core.Landmark_trees.row t.trees lm in
     if Array.length parents = 0 then D.fast_protocol
     else if u = lm then begin
       let cnt = D.route_fill_down pkt parents lm dst in
@@ -305,19 +283,19 @@ let fast_arrival f (pkt : D.packet) u dst m =
     else D.fast_protocol
   end
 
-let fast_step f (pkt : D.packet) u =
+let fast_step t (pkt : D.packet) u =
   let dst = pkt.D.pdst in
   if u = dst then D.fast_deliver
   else begin
     let m = pkt.D.pmode in
     if m <> D.mode_carry && m <> D.mode_steer && m <> D.mode_steer_tried then
       D.fast_protocol
-    else if f.fis_lm.(dst) then begin
+    else if t.landmarks.Core.Landmarks.is_landmark.(dst) then begin
       (* Landmark destination: every node diverts onto the tree route
          (when the remaining labels already equal it, the rewrite is the
          identity — same next hop, same tail — so always diverting is
          safe). *)
-      let parents = f.flm.(dst) in
+      let parents = Core.Landmark_trees.row t.trees dst in
       if Array.length parents = 0 then D.fast_protocol
       else if D.route_chain_ok parents u dst then begin
         let _cnt = D.route_fill_up pkt parents u dst in
@@ -328,7 +306,7 @@ let fast_step f (pkt : D.packet) u =
       else D.fast_protocol (* unreachable: a landmark tree reaches every node *)
     end
     else begin
-      let b = f.fball.(dst) in
+      let b = Disco_util.Pool.Memo.get t.balls dst in
       let members = b.bm in
       let parents = b.bp in
       if
@@ -340,7 +318,7 @@ let fast_step f (pkt : D.packet) u =
         pkt.D.pway <- -1;
         D.route_next pkt
       end
-      else fast_arrival f pkt u dst m
+      else fast_arrival t pkt u dst m
     end
   end
 

@@ -35,8 +35,9 @@ type ball = { bm : int array; bd : float array; bp : int array }
     and the compiled forward both read. *)
 
 val ball : t -> int -> ball
-(** Ball of a target (one truncated Dijkstra, memoised). Always contains
-    the target itself. *)
+(** Ball of a target (one truncated Dijkstra on a workspace the ball store
+    lends, filled on first use and kept). Always contains the target
+    itself. *)
 
 val ball_bytes : ball -> int
 (** Exact bytes of the packed ball slabs. *)
@@ -90,16 +91,14 @@ val state_bytes :
 
 (** {2 Compiled forward} *)
 
-type fast
-(** Landmark trees as parent arrays and destination balls as sorted
-    member/parent pairs, primed per flow for the zero-alloc walker. *)
+(** The step reads landmark trees as parent rows from the tree store and
+    destination balls from the ball store, in place, so there is nothing
+    to compile: the router passes [t] itself to the zero-alloc walker. *)
 
-val compile : t -> fast
+val fast_prime : t -> src:int -> dst:int -> unit
+(** Fill the flow's landmark tree(s) and the destination's ball. *)
 
-val fast_prime : fast -> src:int -> dst:int -> unit
-(** Force the flow's landmark tree(s) and the destination's ball. *)
-
-val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
+val fast_step : t -> Disco_core.Dataplane.packet -> int -> int
 (** One zero-alloc decision at node [u]: divert if the node's cluster or
     landmark table holds the destination, else consume a label; a Steer
     waypoint (resolution owner, then the destination's landmark) loads

@@ -11,7 +11,8 @@ type t = {
   directory : Packed.Csr.t;
       (* the resolver map inverted: row v = the destinations whose
          directory entry v stores, sorted ascending *)
-  trees : (int, Dijkstra.sssp) Disco_util.Pool.Memo.t;
+  trees : Disco_core.Landmark_trees.t;
+      (* link-state tables: one shortest-path tree per root a route uses *)
 }
 
 (* Invert [resolver] into a CSR by counting sort: row v lists v's
@@ -48,20 +49,12 @@ let build graph ~names =
     ring;
     resolver;
     directory = invert_resolver n resolver;
-    trees = Disco_util.Pool.Memo.create ();
+    trees = Disco_core.Landmark_trees.create graph;
   }
 
-(* Lazy per-root SSSP, shared across query handles; the memo makes the
-   fill safe from pool tasks, and each fill uses its own workspace
-   ([Dijkstra.sssp] returns fresh arrays, so cached trees are
-   workspace-independent). *)
-let tree t root =
-  Disco_util.Pool.Memo.find_or_add t.trees root (fun () ->
-      Dijkstra.sssp ~ws:(Dijkstra.make_workspace t.graph) t.graph root)
-
 let shortest t ~src ~dst =
-  let s = tree t src in
-  Dijkstra.path_of_parents ~parent:(fun u -> s.Dijkstra.parent.(u)) ~src ~dst
+  let parent = Disco_core.Landmark_trees.parents t.trees ~lm:src in
+  Dijkstra.path_of_parents ~parent:(fun u -> parent.(u)) ~src ~dst
 
 let resolver_of t dst = t.resolver.(dst)
 
@@ -95,28 +88,21 @@ let ttl_factor = 4
    route from its own table. While steering, the packet is addressed to
    the resolver — a node it rides through does not inspect the inner
    destination, so it only delivers in Carry (matching the oracle, whose
-   resolver detour may pass through the destination).  Link-state trees
-   are parent arrays indexed by root ([ftrees], primed per flow), and the
-   hop body is array indexing only. *)
+   resolver detour may pass through the destination).  The step reads
+   link-state trees straight from the tree store ([fast_prime] fills the
+   ones a flow needs; an unfilled tree is a protocol verdict), and the hop
+   body is array indexing only. *)
 
-type fast = {
-  fsea : t;
-  ftrees : int array array; (* SSSP parent array per root; [||] = unprimed *)
-}
+let fast_prime_root t root =
+  ignore (Disco_core.Landmark_trees.parents t.trees ~lm:root : int array)
 
-let compile t = { fsea = t; ftrees = Array.make (Graph.n t.graph) [||] }
-
-let fast_prime_root f root =
-  if Array.length f.ftrees.(root) = 0 then
-    f.ftrees.(root) <- (tree f.fsea root).Dijkstra.parent
-
-(* Force the trees the flow's decisions read: the source's (header
+(* Fill the trees the flow's decisions read: the source's (header
    encode) and the resolver's (the steer-leg rewrite). *)
-let fast_prime f ~src ~dst =
-  fast_prime_root f src;
-  fast_prime_root f f.fsea.resolver.(dst)
+let fast_prime t ~src ~dst =
+  fast_prime_root t src;
+  fast_prime_root t t.resolver.(dst)
 
-let fast_step f (pkt : D.packet) u =
+let fast_step t (pkt : D.packet) u =
   let m = pkt.D.pmode in
   if m = D.mode_carry then
     if u = pkt.D.pdst then D.fast_deliver
@@ -126,7 +112,7 @@ let fast_step f (pkt : D.packet) u =
     if D.route_len pkt > 0 then D.route_next pkt
     else
       (* At the resolver: write the onward route from its own tree. *)
-      let parents = f.ftrees.(u) in
+      let parents = Disco_core.Landmark_trees.row t.trees u in
       if Array.length parents = 0 then D.fast_protocol
       else
         let cnt = D.route_fill_down pkt parents u pkt.D.pdst in

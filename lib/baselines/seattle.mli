@@ -38,17 +38,16 @@ val later_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 
 (** {2 Compiled forward} *)
 
-type fast
-(** Link-state trees flattened into per-root parent arrays for the
-    zero-alloc walker ({!Disco_core.Dataplane.fast_walk}). *)
+(** The step reads link-state trees as parent rows straight from the
+    scheme's {!Disco_core.Landmark_trees} store, so there is nothing to
+    compile: the router passes [t] itself to the zero-alloc walker
+    ({!Disco_core.Dataplane.fast_walk}). *)
 
-val compile : t -> fast
+val fast_prime : t -> src:int -> dst:int -> unit
+(** Fill the source's and the resolver's trees for one flow, so
+    {!fast_step} never fills anything on the hop loop. *)
 
-val fast_prime : fast -> src:int -> dst:int -> unit
-(** Force the source's and the resolver's trees for one flow, so
-    {!fast_step} never fills a cache on the hop loop. *)
-
-val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
+val fast_step : t -> Disco_core.Dataplane.packet -> int -> int
 (** One zero-alloc decision: consume the explicit label route; a first
     packet's Steer leg ends at the resolver, which writes the onward route
     from its own link-state tree. No shortcutting — walks equal the route

@@ -1,6 +1,5 @@
 module Graph = Disco_graph.Graph
 module Dijkstra = Disco_graph.Dijkstra
-module Heap = Disco_util.Heap
 module Rng = Disco_util.Rng
 module Packed = Disco_core.Packed
 
@@ -12,8 +11,8 @@ type t = {
   pivot_dist : float array array; (* d(v, A_i) *)
   bunch : Packed.Csr.t; (* per node: sorted bunch member ids *)
   bunch_d : Packed.Fslab.t; (* parallel to [bunch.data]: d(v, w) *)
-  trees : (int, Dijkstra.sssp) Disco_util.Pool.Memo.t;
-      (* lazy per-pivot SSSP shared by route and forward *)
+  trees : Disco_core.Landmark_trees.t;
+      (* per-pivot shortest-path trees shared by route and forward *)
 }
 
 let k t = t.k
@@ -34,31 +33,11 @@ let level_sizes t =
    if it satisfies the condition itself. [next_dist i u] is d(u, A_{i+1})
    with the sentinel d(u, A_k) = infinity; [staging] holds the mutable
    per-node bunches until {!build} freezes them into the CSR. *)
-let scatter ~graph:g ~next_dist ~staging ~w ~i =
-  let dist = Hashtbl.create 64 in
-  let heap = Heap.create () in
-  Heap.push heap 0.0 w;
-  Hashtbl.replace dist w 0.0;
-  let settled = Hashtbl.create 64 in
-  let continue = ref true in
-  while !continue do
-    match Heap.pop heap with
-    | None -> continue := false
-    | Some (d, u) ->
-        if not (Hashtbl.mem settled u) then begin
-          Hashtbl.replace settled u ();
-          if d < next_dist i u then begin
-            if u <> w then Hashtbl.replace staging.(u) w d;
-            Graph.iter_neighbors g u (fun v wgt ->
-                let nd = d +. wgt in
-                match Hashtbl.find_opt dist v with
-                | Some old when old <= nd -> ()
-                | _ ->
-                    Hashtbl.replace dist v nd;
-                    Heap.push heap nd v)
-          end
-        end
-  done
+let scatter ~ws ~graph:g ~next_dist ~staging ~w ~i =
+  Dijkstra.pruned ~ws g w ~expand:(fun u d ->
+      let inside = d < next_dist i u in
+      if inside && u <> w then Hashtbl.replace staging.(u) w d;
+      inside)
 
 let build ~rng ~k graph =
   if k < 1 then invalid_arg "Tz_hierarchy.build: k >= 1";
@@ -89,10 +68,11 @@ let build ~rng ~k graph =
   let next_dist i v =
     if i + 1 >= k then infinity else pivot_dist.(i + 1).(v)
   in
+  let ws = Dijkstra.make_workspace graph in
   for w = 0 to n - 1 do
     (* w contributes at each level it belongs to. *)
     for i = 0 to level.(w) do
-      scatter ~graph ~next_dist ~staging ~w ~i
+      scatter ~ws ~graph ~next_dist ~staging ~w ~i
     done
   done;
   (* Freeze the staged bunches into flat slabs: id-sorted CSR rows with a
@@ -120,7 +100,7 @@ let build ~rng ~k graph =
     done
   done;
   { graph; k; level; pivot; pivot_dist; bunch; bunch_d;
-    trees = Disco_util.Pool.Memo.create () }
+    trees = Disco_core.Landmark_trees.create graph }
 
 let state t v = Packed.Csr.row_len t.bunch v + t.k
 
@@ -178,29 +158,20 @@ let routing_pivot t ~src ~dst =
   in
   climb 0 src dst src
 
-(* Lazy per-pivot SSSP: the memo makes fills safe from pool tasks, and
-   each fill uses its own workspace (the returned arrays are fresh, so
-   cached trees are workspace-independent). *)
-let tree t w =
-  Disco_util.Pool.Memo.find_or_add t.trees w (fun () ->
-      Dijkstra.sssp ~ws:(Dijkstra.make_workspace t.graph) t.graph w)
-
 let route t ~src ~dst =
   if src = dst then Some [ src ]
   else
     match routing_pivot t ~src ~dst with
     | None -> None
     | Some w ->
-        (* Both legs of [src ~> w ~> dst] are shortest paths, so one run
+        (* Both legs of [src ~> w ~> dst] are shortest paths, so one tree
            rooted at the pivot reconstructs the whole route. *)
-        let sp = tree t w in
-        if sp.Dijkstra.dist.(src) = infinity || sp.Dijkstra.dist.(dst) = infinity
-        then None
+        let dist = Disco_core.Landmark_trees.dist t.trees ~lm:w in
+        if dist src = infinity || dist dst = infinity then None
         else begin
+          let parent = Disco_core.Landmark_trees.parents t.trees ~lm:w in
           let from_pivot z =
-            Dijkstra.path_of_parents
-              ~parent:(fun u -> sp.Dijkstra.parent.(u))
-              ~src:w ~dst:z
+            Dijkstra.path_of_parents ~parent:(fun u -> parent.(u)) ~src:w ~dst:z
           in
           match from_pivot dst with
           | [] -> None
@@ -228,32 +199,22 @@ let packet_header t ~src ~dst =
    addressed to the pivot, so a node it rides through does not deliver
    even if it is the destination (the oracle's route may cross the
    destination on the way up); only the pivot itself and the Carry
-   descent deliver. Walks equal [route] node for node.  The carried
-   pivot's SSSP becomes a parent array ([ftrees], primed per flow). *)
+   descent deliver. Walks equal [route] node for node.  The step reads
+   the carried pivot's tree straight from the tree store; [fast_prime]
+   fills it, and an unfilled tree is a protocol verdict. *)
 
-type fast = {
-  ftz : t;
-  ftrees : int array array; (* SSSP parent array per pivot; [||] = unprimed *)
-}
-
-let compile t = { ftz = t; ftrees = Array.make (Graph.n t.graph) [||] }
-
-let fast_prime_root f w =
-  if Array.length f.ftrees.(w) = 0 then
-    f.ftrees.(w) <- (tree f.ftz w).Dijkstra.parent
-
-let fast_prime f ~src ~dst =
-  match routing_pivot f.ftz ~src ~dst with
-  | Some w -> fast_prime_root f w
+let fast_prime t ~src ~dst =
+  match routing_pivot t ~src ~dst with
+  | Some w -> ignore (Disco_core.Landmark_trees.parents t.trees ~lm:w : int array)
   | None -> ()
 
-let fast_step f (pkt : D.packet) u =
+let fast_step t (pkt : D.packet) u =
   let m = pkt.D.pmode in
   if m = D.mode_steer || m = D.mode_steer_tried then begin
     let w = pkt.D.pway in
     if w < 0 then D.fast_no_route (* no common pivot: disconnected *)
     else
-      let parents = f.ftrees.(w) in
+      let parents = Disco_core.Landmark_trees.row t.trees w in
       if Array.length parents = 0 then D.fast_protocol
       else if u = w then
         if u = pkt.D.pdst then D.fast_deliver

@@ -60,15 +60,14 @@ val packet_header : t -> src:int -> dst:int -> Disco_core.Dataplane.header
 
 (** {2 Compiled forward} *)
 
-type fast
-(** Pivot trees flattened into parent arrays for the zero-alloc walker. *)
+(** The step reads pivot trees as parent rows straight from the scheme's
+    {!Disco_core.Landmark_trees} store, so there is nothing to compile:
+    the router passes [t] itself to the zero-alloc walker. *)
 
-val compile : t -> fast
+val fast_prime : t -> src:int -> dst:int -> unit
+(** Fill the (src, dst) routing pivot's tree for one flow. *)
 
-val fast_prime : fast -> src:int -> dst:int -> unit
-(** Force the (src, dst) routing pivot's tree for one flow. *)
-
-val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
+val fast_step : t -> Disco_core.Dataplane.packet -> int -> int
 (** One zero-alloc decision: climb the carried pivot's shortest-path tree
     (each hop a local parent lookup), then the pivot writes the explicit
     descent. Walks reproduce {!route} node for node. *)

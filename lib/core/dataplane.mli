@@ -3,8 +3,8 @@
     Every routing scheme in the repo answers one question per hop: given
     the packet and the state the current node holds, what happens next?
     Each scheme answers it with one {e compiled forward} ({!fast_plan}):
-    node-local state flattened into arrays, and a per-hop step that reads
-    and rewrites one preallocated {!packet}.  {!fast_walk} runs that step
+    node-local state as flat arrays plus lock-free store reads, and a
+    per-hop step that reads and rewrites one preallocated {!packet}.  {!fast_walk} runs that step
     hop by hop; it is the only walker in the repo.  Figures, disco-check
     and traces all run it, and each scheme's closed-form oracle checks it.
 
@@ -189,8 +189,10 @@ val float_of_bits_hl : int -> int -> float
 (** {2 The walker} *)
 
 (** A scheme's compiled face: [fstep pkt u] is the zero-alloc per-hop
-    decision; [fprime ~src ~dst] forces lazily-built node state for a
-    flow at setup time so the hop loop never fills a cache. *)
+    decision, reading node-local arrays and the control plane's lazily
+    filled stores in place; [fprime ~src ~dst] fills the store entries a
+    flow's decisions read, at setup time, so the hop loop never fills
+    anything (an entry still unfilled gives {!fast_protocol}). *)
 type fast_plan = {
   fstep : packet -> int -> int;
   fprime : src:int -> dst:int -> unit;

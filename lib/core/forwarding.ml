@@ -54,18 +54,16 @@ let later_header_nd (nd : Nddisco.t) ~src ~dst =
 
 (* ------------------------------------------------------------------ *)
 (* The compiled data plane reads the control plane's packed state in
-   place — vicinity view records via their direct-index slots, address
-   routes straight off Nddisco's CSR, the resolution owner from the
-   Othello FIB — so compiling re-flattens nothing into private copies.
-   Landmark trees become parent rows primed per flow; name hashes split
-   into unsigned 32-bit halves so the group tests never box an Int64. *)
+   place — vicinity views and landmark tree rows straight out of their
+   stores, address routes off Nddisco's CSR, the resolution owner from
+   the Othello FIB — so compiling copies nothing.  Name hashes split into
+   unsigned 32-bit halves so the group tests never box an Int64. *)
 
 type fast = {
   ffg : Graph.t;
   fis_lm : bool array;
   ftrees : Landmark_trees.t;
-  flm : int array array;  (* parent row per landmark; [||] = unprimed *)
-  fviews : Vicinity.view array;  (* the vicinity memo's own records *)
+  fvic : Vicinity.t;
   fghi : int array;  (* name-hash top/bottom 32 bits ([||] for NDDisco) *)
   fglo : int array;
   fgbits : int array;  (* per-node group prefix width *)
@@ -74,15 +72,15 @@ type fast = {
   faroute : Packed.Csr.t;  (* address node paths [lm; ...; v] (shared CSR) *)
 }
 
+(* Every hop reads the holding node's view, and which nodes a walk visits
+   is not known when a flow is primed, so compiling fills every view. *)
 let compile_nd (nd : Nddisco.t) =
-  let g = nd.Nddisco.graph in
-  let n = Graph.n g in
+  Vicinity.precompute_all nd.Nddisco.vicinity;
   {
-    ffg = g;
+    ffg = nd.Nddisco.graph;
     fis_lm = nd.Nddisco.landmarks.Landmarks.is_landmark;
     ftrees = nd.Nddisco.trees;
-    flm = Array.make n [||];
-    fviews = Vicinity.slots nd.Nddisco.vicinity;
+    fvic = nd.Nddisco.vicinity;
     fghi = [||];
     fglo = [||];
     fgbits = [||];
@@ -106,9 +104,7 @@ let compile (d : Disco.t) =
   done;
   { base with fghi; fglo; fgbits; ffib = Some (Resolution.fib d.Disco.resolution) }
 
-let fast_prime_lm f lm =
-  if Array.length f.flm.(lm) = 0 then
-    f.flm.(lm) <- Landmark_trees.parents f.ftrees ~lm
+let fast_prime_lm f lm = ignore (Landmark_trees.parents f.ftrees ~lm : int array)
 
 let fast_prime_nd f ~src:_ ~dst = if f.fis_lm.(dst) then fast_prime_lm f dst
 
@@ -124,7 +120,7 @@ let fast_prime f ~src:_ ~dst =
     fast_prime_lm f (fast_owner f dst)
   end
 
-(* [w]'s index in V(v)'s sorted member row, or -1. *)
+(* [w]'s index in a view's sorted member row, or -1. *)
 let rec vseg_search (mem : int array) w lo hi =
   if lo > hi then -1
   else begin
@@ -135,40 +131,39 @@ let rec vseg_search (mem : int array) w lo hi =
     else vseg_search mem w lo (mid - 1)
   end
 
-let vseg_find f v w =
-  let mem = f.fviews.(v).Vicinity.members in
+let vseg_find (vw : Vicinity.view) w =
+  let mem = vw.Vicinity.members in
   vseg_search mem w 0 (Array.length mem - 1)
 
-(* Label count of the vicinity path [v ~> x] with [x] already counted in
-   [acc]; -1 when the view does not resolve it — exactly the cases where
-   [Vicinity.path] returns None. *)
-let rec vchain_len f v x acc =
-  let j = vseg_find f v x in
+(* Label count of the vicinity path [v ~> x] in V(v) = [vw], with [x]
+   already counted in [acc]; -1 when the view does not resolve it —
+   exactly the cases where [Vicinity.path] returns None. *)
+let rec vchain_len vw v x acc =
+  let j = vseg_find vw x in
   if j < 0 then -1
   else begin
-    let p = f.fviews.(v).Vicinity.parents.(j) in
-    if p = v then acc else vchain_len f v p (acc + 1)
+    let p = vw.Vicinity.parents.(j) in
+    if p = v then acc else vchain_len vw v p (acc + 1)
   end
 
-let rec vfill_back f (pkt : D.packet) v x i =
+let rec vfill_back vw (pkt : D.packet) x i =
   pkt.D.proute.(i) <- x;
-  if i > 0 then
-    vfill_back f pkt v f.fviews.(v).Vicinity.parents.(vseg_find f v x) (i - 1)
+  if i > 0 then vfill_back vw pkt vw.Vicinity.parents.(vseg_find vw x) (i - 1)
 
-(* Load the [c] labels of the vicinity path [v ~> w] (probed first with
-   [vchain_len]) into the route window. *)
-let vfill f pkt v w c =
-  vfill_back f pkt v w (c - 1);
+(* Load the [c] labels of the vicinity path to [w] in view [vw] (probed
+   first with [vchain_len]) into the route window. *)
+let vfill vw (pkt : D.packet) w c =
+  vfill_back vw pkt w (c - 1);
   pkt.D.proute_pos <- 0;
   pkt.D.proute_end <- c
 
 (* Load the node's direct route to [dst] — its landmark-table route when
    [dst] is a landmark, else its vicinity route — into the route window.
    Returns the label count (>= 1, window loaded), 0 (no local route,
-   window untouched), or -1 on a broken or unprimed landmark tree. *)
+   window untouched), or -1 on a broken or unfilled landmark tree. *)
 let local_fill f pkt u dst =
   if f.fis_lm.(dst) then begin
-    let parents = f.flm.(dst) in
+    let parents = Landmark_trees.row f.ftrees dst in
     if Array.length parents = 0 then -1
     else begin
       let c = D.route_fill_up pkt parents u dst in
@@ -176,16 +171,17 @@ let local_fill f pkt u dst =
     end
   end
   else begin
-    let c = vchain_len f u dst 1 in
+    let vw = Vicinity.peek f.fvic u in
+    let c = vchain_len vw u dst 1 in
     if c < 1 then 0
     else begin
-      vfill f pkt u dst c;
+      vfill vw pkt dst c;
       c
     end
   end
 
 (* [address_route] as a fill: the landmark-tree leg [u ~> l_dst] then the
-   address labels.  Returns the label count or -1 (broken or unprimed
+   address labels.  Returns the label count or -1 (broken or unfilled
    landmark tree). *)
 let addr_fill f (pkt : D.packet) u dst =
   let lm = f.falm.(dst) in
@@ -199,7 +195,7 @@ let addr_fill f (pkt : D.packet) u dst =
     hops
   end
   else begin
-    let parents = f.flm.(lm) in
+    let parents = Landmark_trees.row f.ftrees lm in
     if Array.length parents = 0 then -1
     else begin
       let c = D.route_fill_up pkt parents u lm in
@@ -282,15 +278,15 @@ let rec fd_seek f (pkt : D.packet) u tried =
       pkt.D.pis.(1) <- -1;
       pkt.D.pis.(2) <- -1;
       pkt.D.pfs.(1) <- infinity;
-      let vw = f.fviews.(u) in
+      let vw = Vicinity.peek f.fvic u in
       proxy_scan f pkt vw dst 0 (Array.length vw.Vicinity.members);
       let w = pkt.D.pis.(1) in
       if w >= 0 && fd_same_group f w dst then begin
         if w = u then fd_resolution f pkt u dst
         else begin
-          let cw = vchain_len f u w 1 in
+          let cw = vchain_len vw u w 1 in
           if cw >= 1 then begin
-            vfill f pkt u w cw;
+            vfill vw pkt w cw;
             pkt.D.pmode <- D.mode_steer_tried;
             pkt.D.pway <- w;
             D.route_next pkt
@@ -322,7 +318,7 @@ and fd_resolution_leg f (pkt : D.packet) u dst =
   let owner = fast_owner f dst in
   if u = owner then fd_addr_carry f pkt u dst
   else begin
-    let parents = f.flm.(owner) in
+    let parents = Landmark_trees.row f.ftrees owner in
     if Array.length parents = 0 then D.fast_protocol
     else begin
       let c = D.route_fill_up pkt parents u owner in

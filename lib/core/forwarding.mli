@@ -58,23 +58,29 @@ val later_header_nd : Nddisco.t -> src:int -> dst:int -> Dataplane.header
 
 (** {2 Compiled forwards}
 
-    Vicinity views read through their direct-index slots, landmark trees
-    as parent rows primed per flow, name hashes as unsigned 32-bit
-    halves: {!fast_step} is array indexing only. *)
+    The steps read the control plane's stores in place: vicinity views
+    through {!Vicinity.peek}, landmark trees through
+    {!Landmark_trees.row} (an unfilled tree is a protocol-error verdict),
+    name hashes as unsigned 32-bit halves: {!fast_step} is array indexing
+    only. *)
 
 type fast
 
 val compile : Disco.t -> fast
-(** Forces every vicinity view ({!Vicinity.slots}). *)
+(** Fills every vicinity view ({!Vicinity.precompute_all}): every hop
+    reads its holder's view, and a flow's hops are not known when it is
+    primed. *)
 
 val compile_nd : Nddisco.t -> fast
+(** As {!compile}, for NDDisco's Carry machine. *)
 
 val fast_prime : fast -> src:int -> dst:int -> unit
-(** Force the landmark parent rows a flow to [dst] can touch: the
+(** Fill the landmark trees a flow to [dst] can touch: the
     destination itself when it is a landmark, else its address landmark
     and its resolution owner. *)
 
 val fast_prime_nd : fast -> src:int -> dst:int -> unit
+(** Fill [dst]'s tree when it is a landmark. *)
 
 val fast_step : fast -> Dataplane.packet -> int -> int
 (** One zero-alloc Disco decision (Seek/Steer/Carry machine); raises the

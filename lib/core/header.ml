@@ -8,35 +8,7 @@ type cost = {
   total : int;
 }
 
-(* Packed per-hop labels for a concrete node path. *)
-let encode_labels g path =
-  let writer = Bits.Writer.create () in
-  let rec encode = function
-    | [] | [ _ ] -> ()
-    | u :: (v :: _ as rest) ->
-        (match Graph.neighbor_rank g u v with
-        | Some rank -> Bits.Writer.put writer rank ~width:(Bits.width_for (Graph.degree g u))
-        | None -> invalid_arg "Header: route is not a path");
-        encode rest
-  in
-  encode path;
-  (Bits.Writer.to_bytes writer, Bits.Writer.bit_length writer)
-
-let decode_labels g ~src ~hops labels =
-  let reader = Bits.Reader.of_bytes labels in
-  let rec walk u remaining acc =
-    if remaining = 0 then List.rev (u :: acc)
-    else begin
-      let rank = Bits.Reader.get reader ~width:(Bits.width_for (Graph.degree g u)) in
-      let v, _ = Graph.nth_neighbor g u rank in
-      walk v (remaining - 1) (u :: acc)
-    end
-  in
-  walk src hops []
-
-let label_bytes_of g path =
-  let _, bits = encode_labels g path in
-  (bits + 7) / 8
+let label_bytes_of g route = Address.route_byte_size (Address.make g ~route)
 
 let id_bits g =
   let n = Graph.n g in

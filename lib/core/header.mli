@@ -29,16 +29,3 @@ val first_packet :
 
 val later_packet : Disco.t -> name_bytes:int -> src:int -> dst:int -> cost
 (** Later packets carry the name plus the explicit route only. *)
-
-val encode_labels : Disco_graph.Graph.t -> int list -> bytes * int
-(** [encode_labels g path] packs the per-hop forwarding labels of a node
-    path into an MSB-first bit stream: the label at a degree-[d] node is
-    its neighbor rank in [ceil(log2 d)] bits. Returns the packed bytes
-    (final partial byte zero-padded) and the exact bit length.
-    @raise Invalid_argument if [path] is not a path in [g]. *)
-
-val decode_labels : Disco_graph.Graph.t -> src:int -> hops:int -> bytes -> int list
-(** [decode_labels g ~src ~hops labels] replays [hops] packed labels from
-    [src] — the data-plane forwarding walk. Inverse of {!encode_labels}
-    (property-tested as a round-trip).
-    @raise Invalid_argument on reader underflow. *)

@@ -11,23 +11,29 @@ type view = {
 type t = {
   graph : Graph.t;
   k : int;
-  cache : (int, view) Disco_util.Pool.Memo.t;
-  mutable slots : view array option;
-      (* direct-index face over the same view records, for compiled plans *)
+  store : (view, Dijkstra.workspace) Disco_util.Pool.Memo.t;
 }
+
+let unfilled = { members = [||]; dists = [||]; parents = [||]; radius = 0.0 }
 
 let create graph ~k =
   if k < 0 then invalid_arg "Vicinity.create: k < 0";
-  { graph; k; cache = Disco_util.Pool.Memo.create ~size:256 (); slots = None }
+  {
+    graph;
+    k;
+    store =
+      Disco_util.Pool.Memo.create (Graph.n graph) ~empty:unfilled ~scratch:(fun () ->
+          Dijkstra.make_workspace graph);
+  }
 
 let k t = t.k
 
-(* Each fill runs on its own workspace and copies the truncated run into
-   fresh arrays, so cached views are workspace-independent; the memo makes
-   the demand fill safe from pool tasks (every route consults V(v)). *)
-let compute t v =
+(* Each fill runs on a workspace the store lends and copies the truncated
+   run into fresh arrays, so stored views are workspace-independent; the
+   store makes the demand fill safe from pool tasks (every route consults
+   V(v)). *)
+let compute t ws v =
   (* k_closest includes the source; ask for one more and drop it. *)
-  let ws = Dijkstra.make_workspace t.graph in
   let run = Dijkstra.k_closest ~ws t.graph v (t.k + 1) in
   let total = Array.length run.order in
   let size = max 0 (total - 1) in
@@ -56,7 +62,8 @@ let compute t v =
     radius = !radius;
   }
 
-let view t v = Disco_util.Pool.Memo.find_or_add t.cache v (fun () -> compute t v)
+let view t v = Disco_util.Pool.Memo.find_or_add t.store v (fun ws -> compute t ws v)
+let peek t v = Disco_util.Pool.Memo.get t.store v
 
 let find_index vw w =
   let lo = ref 0 and hi = ref (Array.length vw.members - 1) in
@@ -101,18 +108,6 @@ let precompute_all t =
     ignore (view t v : view)
   done
 
-let cached_count t = Disco_util.Pool.Memo.length t.cache
-
-(* The packed face: one flat array slot per node holding the same view
-   record the memo serves, so a compiled plan indexes views directly
-   (no mutex, no re-flattened CSR copy) while the oracles keep their
-   lazy fills. Forcing it computes every view once. *)
-let slots t =
-  match t.slots with
-  | Some s -> s
-  | None ->
-      let s = Array.init (Graph.n t.graph) (fun v -> view t v) in
-      t.slots <- Some s;
-      s
+let cached_count t = Disco_util.Pool.Memo.length t.store
 
 let view_bytes vw = 8 * ((3 * Array.length vw.members) + 1)

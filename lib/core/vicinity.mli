@@ -5,9 +5,11 @@
     rather than growing clusters until a landmark is met, as S4 does — is
     what gives Disco its per-node state bound on every topology.
 
-    Views are computed lazily (truncated Dijkstra per node) and cached,
-    since stretch experiments touch only the nodes along sampled routes
-    while state accounting needs only the uniform size [k]. *)
+    Views live in a node-indexed store ({!Disco_util.Pool.Memo}): each is
+    computed on first use (a truncated Dijkstra on a workspace the store
+    lends) and kept, since stretch experiments touch only the nodes along
+    sampled routes while state accounting needs only the uniform size [k].
+    The compiled data planes read filled views in place ({!peek}). *)
 
 type t
 
@@ -24,7 +26,12 @@ type view = {
 }
 
 val view : t -> int -> view
-(** [view t v] is V(v), computing and caching it on first use. *)
+(** [view t v] is V(v), computing and storing it on first use. *)
+
+val peek : t -> int -> view
+(** V(v) if it is filled, else a view with no members.  Never fills; a
+    lock-free array read, so the compiled steps call it per hop (their
+    [compile] fills every view first). *)
 
 val mem : t -> int -> int -> bool
 (** [mem t v w]: is [w] in V(v)? (Not symmetric!) *)
@@ -41,17 +48,11 @@ val first_hop_count : t -> int -> int
     label-mapping state term). *)
 
 val precompute_all : t -> unit
-(** Force every view into the cache (used before tight measurement
-    loops). *)
+(** Fill every view (the eager control-plane build; the compiled Disco and
+    NDDisco forwards call it at compile time). *)
 
 val cached_count : t -> int
-
-val slots : t -> view array
-(** The packed face for compiled plans: slot [v] is the same record
-    [view t v] returns, indexed directly with no lock and no copying.
-    Forcing it computes every view once ([precompute_all] semantics);
-    the oracles' lazy fills and the compiled data plane then share the
-    arrays. *)
+(** Number of filled views. *)
 
 val view_bytes : view -> int
 (** Exact bytes of one view's member/dist/parent arrays plus radius. *)

@@ -155,10 +155,10 @@ type slot = {
 }
 
 (* Every vicinity view, filled once on the pool before any router is built
-   or timed.  Disco's and NDDisco's compile read all n views; filling them
+   or timed.  Disco's and NDDisco's compile fill all n views; filling them
    here makes that a shared testbed phase (like the NDDisco build itself)
    instead of a cost charged to whichever router compiles first.  The
-   memo is fill-safe across domains. *)
+   store is fill-safe across domains. *)
 let fill_vicinities pool (tb : Testbed.t) =
   let vicinity = (Testbed.nd tb).Disco_core.Nddisco.vicinity in
   ignore

@@ -90,24 +90,30 @@ module type ROUTER = sig
   val fork : t -> t
   (** A query handle that can emit headers and run oracles concurrently
       with the original from another domain: shared converged state is
-      immutable and may alias, but any query-time mutable scratch must
-      either be private to the returned handle (the path-vector oracle
-      forks its SSSP memo and workspace) or live behind
-      {!Disco_util.Pool.Memo} (the demand-filled landmark/vicinity/ball/tree
-      caches in Disco, NDDisco, S4, Seattle and TZ, whose cross-pair
-      amortization is the point of sharing). Fork is therefore the identity
-      for every adapter except path-vector.  Walker state (the packet and
-      its hop trail) lives in {!Walk.scratch}, never on [t].  Forked
-      handles feed the parallel engine ({!Engine.run}); [state_entries] is
-      only called on the original. *)
+      immutable and may alias, but any query-time mutable state must
+      either be private to the returned handle or live in a
+      {!Disco_util.Pool.Memo} store.  The lazily built routing state of
+      Disco, NDDisco, S4, SEATTLE and TZ (vicinity views, per-root trees,
+      S4 balls) is in such stores, shared on purpose — their cross-pair
+      amortization is the point — so fork is the identity for every
+      adapter except path vector.  Path vector caches the one SSSP tree of
+      the source it last served, plus a workspace; a store would have to
+      keep a tree per source, and fig10 sends a flow from every node, so
+      its fork hands out a fresh cache and workspace instead.  Walker
+      state (the packet and its hop trail) lives in {!Walk.scratch}, never
+      on [t].  Forked handles feed the parallel engine ({!Engine.run});
+      [state_entries] is only called on the original. *)
 
   val compile : t -> Disco_core.Dataplane.fast_plan
-  (** The scheme's data plane: node-local state flattened into int arrays
-      so [fstep] is array indexing with no allocation per hop
+  (** The scheme's data plane: [fstep] reads node-local state as flat
+      arrays and the shared stores in place (lock-free reads of filled
+      entries), with no allocation per hop
       ({!Disco_core.Dataplane.fast_walk} runs it).  [fprime ~src ~dst]
-      forces any lazily-built per-flow state at setup time, so [compile]
-      plus [fprime] is all a walk needs; the plan may be shared across
-      domains (priming only ever writes the same value into a slot). *)
+      fills the store entries the flow's decisions read at setup time, so
+      [compile] plus [fprime] is all a walk needs; nothing is copied into
+      the plan, an entry still unfilled reads as a protocol-error verdict,
+      and the plan may be shared across domains (fills go through the
+      stores' first-insert-wins publication). *)
 end
 
 type packed = (module ROUTER)

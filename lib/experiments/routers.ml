@@ -149,8 +149,7 @@ module S4_router = struct
   let fork t = t
 
   let compile t =
-    let f = S4.compile t.s4 in
-    { D.fstep = S4.fast_step f; D.fprime = S4.fast_prime f }
+    { D.fstep = S4.fast_step t.s4; D.fprime = S4.fast_prime t.s4 }
 end
 
 module Vrr_router = struct
@@ -231,8 +230,7 @@ module Seattle_router = struct
   let fork t = t
 
   let compile t =
-    let f = Seattle.compile t in
-    { D.fstep = Seattle.fast_step f; D.fprime = Seattle.fast_prime f }
+    { D.fstep = Seattle.fast_step t; D.fprime = Seattle.fast_prime t }
 end
 
 module Tz_router = struct
@@ -265,8 +263,7 @@ module Tz_router = struct
   let fork t = t
 
   let compile t =
-    let f = Tz.compile t in
-    { D.fstep = Tz.fast_step f; D.fprime = Tz.fast_prime f }
+    { D.fstep = Tz.fast_step t; D.fprime = Tz.fast_prime t }
 end
 
 module Pathvector_router = struct

@@ -38,9 +38,13 @@ let touch ws run v d p =
 let seen ws run v = ws.stamp.(v) = run
 let is_settled ws run v = ws.settled.(v) = run
 
-(* Core loop. [stop] inspects each newly settled node (with its settle
-   index and distance) and returns true to halt. *)
-let run_dijkstra ws g sources ~stop =
+(* What a search does at a newly settled node: relax its edges, leave
+   them unrelaxed, or end the run. *)
+type visit = Expand | Prune | Halt
+
+(* Core loop. [visit] inspects each newly settled node (with its settle
+   index and distance). *)
+let run_dijkstra ws g sources ~visit =
   let run = fresh_run ws g in
   Array.iter
     (fun s ->
@@ -57,16 +61,18 @@ let run_dijkstra ws g sources ~stop =
           ws.settled.(u) <- run;
           let idx = !settle_count in
           incr settle_count;
-          if stop u idx d then halted := true
-          else
-            Graph.iter_neighbors g u (fun v w ->
-                let nd = d +. w in
-                if (not (is_settled ws run v))
-                   && ((not (seen ws run v)) || nd < ws.dist.(v))
-                then begin
-                  touch ws run v nd u;
-                  Heap.push ws.heap nd v
-                end)
+          match visit u idx d with
+          | Halt -> halted := true
+          | Prune -> ()
+          | Expand ->
+              Graph.iter_neighbors g u (fun v w ->
+                  let nd = d +. w in
+                  if (not (is_settled ws run v))
+                     && ((not (seen ws run v)) || nd < ws.dist.(v))
+                  then begin
+                    touch ws run v nd u;
+                    Heap.push ws.heap nd v
+                  end)
         end
   done;
   run
@@ -75,12 +81,12 @@ type sssp = { dist : float array; parent : int array }
 
 let sssp ?ws ?until g src =
   let ws = get_ws ws g in
-  let stop =
+  let visit =
     match until with
-    | None -> fun _ _ _ -> false
-    | Some t -> fun u _ _ -> u = t
+    | None -> fun _ _ _ -> Expand
+    | Some t -> fun u _ _ -> if u = t then Halt else Expand
   in
-  let run = run_dijkstra ws g [| src |] ~stop in
+  let run = run_dijkstra ws g [| src |] ~visit in
   let n = Graph.n g in
   let dist = Array.make n infinity and parent = Array.make n (-1) in
   for v = 0 to n - 1 do
@@ -96,14 +102,14 @@ let distance ?ws g src dst =
   else begin
     let ws = get_ws ws g in
     let result = ref infinity in
-    let stop u _ d =
+    let visit u _ d =
       if u = dst then begin
         result := d;
-        true
+        Halt
       end
-      else false
+      else Expand
     in
-    ignore (run_dijkstra ws g [| src |] ~stop : int);
+    ignore (run_dijkstra ws g [| src |] ~visit : int);
     !result
   end
 
@@ -115,22 +121,20 @@ type truncated = {
 }
 
 let collect_truncated ws g src ~stop =
-  let order = ref [] and count = ref 0 in
-  let stop' u idx d =
-    if stop u idx d then true
+  let order = ref [] in
+  let visit u idx d =
+    if stop u idx d then Halt
     else begin
       order := u :: !order;
-      incr count;
-      false
+      Expand
     end
   in
-  let run = run_dijkstra ws g [| src |] ~stop:stop' in
+  ignore (run_dijkstra ws g [| src |] ~visit : int);
   let order = Array.of_list (List.rev !order) in
   let tdist = Array.map (fun v -> ws.dist.(v)) order in
   let tparent =
     Array.map (fun v -> if v = src then -1 else ws.par.(v)) order
   in
-  ignore run;
   { source = src; order; tdist; tparent }
 
 let k_closest ?ws g src k =
@@ -142,6 +146,12 @@ let within_radius ?ws g src r =
   let ws = get_ws ws g in
   collect_truncated ws g src ~stop:(fun _ _ d -> d >= r)
 
+let pruned ~ws g src ~expand =
+  ignore
+    (run_dijkstra ws g [| src |] ~visit:(fun u _ d ->
+         if expand u d then Expand else Prune)
+      : int)
+
 type multi = { mdist : float array; mparent : int array; msource : int array }
 
 let multi_source g sources =
@@ -150,12 +160,12 @@ let multi_source g sources =
   let msource = Array.make n (-1) in
   (* Track the originating source through the forest: when a node settles,
      it inherits its parent's source label. *)
-  let stop u _ _ =
+  let visit u _ _ =
     let p = ws.par.(u) in
     msource.(u) <- (if p = -1 then u else msource.(p));
-    false
+    Expand
   in
-  let run = run_dijkstra ws g sources ~stop in
+  let run = run_dijkstra ws g sources ~visit in
   let mdist = Array.make n infinity and mparent = Array.make n (-1) in
   for v = 0 to n - 1 do
     if is_settled ws run v then begin

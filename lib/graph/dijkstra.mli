@@ -45,6 +45,14 @@ val within_radius : ?ws:workspace -> Graph.t -> int -> float -> truncated
     strict inequality matches S4's cluster definition ("closer to v than
     to their closest landmark"). *)
 
+val pruned : ws:workspace -> Graph.t -> int -> expand:(int -> float -> bool) -> unit
+(** [pruned ~ws g src ~expand] settles nodes in distance order from
+    [src], asking [expand u d] at each settled node [u] (at distance [d]):
+    [true] relaxes [u]'s edges, [false] leaves them unrelaxed, so the
+    search only grows through expanded nodes and each [d] is the distance
+    over paths whose interior is expanded.  The callback records whatever
+    the caller needs; nothing is returned. *)
+
 type multi = {
   mdist : float array;  (** distance to the nearest source *)
   mparent : int array;  (** shortest-path forest predecessor; -1 at roots *)

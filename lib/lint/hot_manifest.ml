@@ -29,7 +29,8 @@ let fast_of_scheme =
   ]
 
 (* Hot functions that are not a scheme forward: the hop-by-hop walker, the
-   name digests, and the CSR accessors every per-hop decision touches. *)
+   name digests, and the CSR accessors and lock-free store reads every
+   per-hop decision touches. *)
 let extras =
   [
     "Disco_core.Dataplane.fast_walk";
@@ -46,6 +47,9 @@ let extras =
     "Disco_util.Bits.width_for";
     "Disco_core.Packed.Othello.query";
     "Disco_core.Packed.Csr.find_sorted";
+    "Disco_util.Pool.Memo.get";
+    "Disco_core.Landmark_trees.row";
+    "Disco_core.Vicinity.peek";
   ]
 
 (* Entry points whose function arguments run on pool domains (rule L8).

@@ -75,40 +75,77 @@ let with_pool ~jobs f =
   let t = create ~jobs in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
 
-(* Shared lazy caches (e.g. landmark trees) are filled from inside pool
-   tasks, so their fill path needs the same mutex discipline as the queue;
-   exposing the memo from here keeps every lock in the tree behind this
-   module (lint L6). The lock guards table lookups/inserts only — compute
-   runs unlocked, and a lost race converges on the winner's value, which
-   is sound because compute is required to be deterministic in the key. *)
+(* Shared lazy stores (vicinities, landmark trees, S4 balls) are filled
+   from inside pool tasks, so their fill path needs the same mutex
+   discipline as the queue; exposing the store from here keeps every lock
+   in the tree behind this module (lint L6).  Keys are node ids, so the
+   table is a plain array: a hit is one unlocked read (the slot holds
+   either [empty] or a value whose fill is complete, since the only write
+   to a slot stores a fully built value), and the lock guards only the
+   scratch free list and the first-insert-wins publication.  Compute runs
+   unlocked on a lent scratch value; a lost race converges on the winner's
+   value, which is sound because compute is required to be deterministic
+   in the key. *)
 module Memo = struct
-  type ('k, 'v) t = { lock : Mutex.t; table : ('k, 'v) Hashtbl.t }
+  type ('v, 's) t = {
+    lock : Mutex.t;
+    slots : 'v array;
+    empty : 'v;
+    scratch : unit -> 's;
+    mutable free : 's list;  (* idle scratch values, under [lock] *)
+    mutable filled : int;  (* under [lock] *)
+  }
 
-  let create ?(size = 64) () =
-    { lock = Mutex.create (); table = Hashtbl.create size }
+  let create n ~empty ~scratch =
+    {
+      lock = Mutex.create ();
+      slots = Array.make n empty;
+      empty;
+      scratch;
+      free = [];
+      filled = 0;
+    }
 
-  let find_or_add m key compute =
+  let get m k = m.slots.(k)
+
+  (* Lend an idle scratch value, or make one when every existing one is
+     out; [give_back] returns it once the fill is done. *)
+  let borrow m =
     Mutex.lock m.lock;
-    let hit = Hashtbl.find_opt m.table key in
+    let s =
+      match m.free with
+      | s :: rest ->
+          m.free <- rest;
+          Some s
+      | [] -> None
+    in
     Mutex.unlock m.lock;
-    match hit with
-    | Some v -> v
-    | None ->
-        let v = compute () in
-        Mutex.lock m.lock;
-        let v =
-          match Hashtbl.find_opt m.table key with
-          | Some winner -> winner
-          | None ->
-              Hashtbl.add m.table key v;
-              v
-        in
-        Mutex.unlock m.lock;
-        v
+    match s with Some s -> s | None -> m.scratch ()
+
+  let give_back m s =
+    Mutex.lock m.lock;
+    m.free <- s :: m.free;
+    Mutex.unlock m.lock
+
+  let find_or_add m k compute =
+    let hit = m.slots.(k) in
+    if hit != m.empty then hit
+    else begin
+      let s = borrow m in
+      let v = Fun.protect ~finally:(fun () -> give_back m s) (fun () -> compute s) in
+      Mutex.lock m.lock;
+      let winner = m.slots.(k) in
+      if winner == m.empty then begin
+        m.slots.(k) <- v;
+        m.filled <- m.filled + 1
+      end;
+      Mutex.unlock m.lock;
+      if winner == m.empty then v else winner
+    end
 
   let length m =
     Mutex.lock m.lock;
-    let n = Hashtbl.length m.table in
+    let n = m.filled in
     Mutex.unlock m.lock;
     n
 end

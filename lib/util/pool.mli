@@ -58,27 +58,41 @@ val shutdown : t -> unit
 val with_pool : jobs:int -> (t -> 'b) -> 'b
 (** [create], apply, and [shutdown] (also on exception). *)
 
-(** A mutex-protected lazy memo table — the one shared-mutable-state
+(** A lazily filled store keyed by node id — the one shared-mutable-state
     helper task bodies may use (anything built on raw [Mutex]/[Atomic]
     outside this module is banned by lint L6).
 
+    Slot [k] of a store over [n] keys starts as [empty] and is filled at
+    most once.  A filled slot is read with no lock ({!get}, and the hit
+    path of {!find_or_add}), so compiled data planes read the store in
+    place.  A fill runs outside the lock on a scratch value (a Dijkstra
+    workspace, say) lent from a small free list; a store creates scratch
+    values only when every existing one is lent out, so at most one per
+    concurrent fill ever exists.
+
     The compute function passed to {!find_or_add} MUST be a deterministic
-    function of the key: when two domains miss on the same key
+    function of the key, and must not return [empty] itself (slots are
+    tested against it with [==]): when two domains miss on the same key
     concurrently, both compute and the first insertion wins, so results
     stay independent of scheduling only because the loser's value is
-    equal. The lock is never held while computing, so a slow fill cannot
-    stall readers of other keys. *)
+    equal. *)
 module Memo : sig
-  type ('k, 'v) t
+  type ('v, 's) t
+  (** A store of ['v] values whose fills borrow ['s] scratch. *)
 
-  val create : ?size:int -> unit -> ('k, 'v) t
+  val create : int -> empty:'v -> scratch:(unit -> 's) -> ('v, 's) t
+  (** [create n ~empty ~scratch]: keys [0 .. n-1], every slot [empty]. *)
 
-  val find_or_add : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
-  (** [find_or_add t k compute] returns the cached value for [k], filling
-      it with [compute ()] on a miss. [compute] may be called more than
-      once across domains for the same key (first insert wins); it is
-      called without the table lock held. *)
+  val get : ('v, 's) t -> int -> 'v
+  (** The value in slot [k], or [empty] when it is unfilled.  One array
+      read: no lock, no allocation, never fills. *)
 
-  val length : ('k, 'v) t -> int
-  (** Number of distinct keys cached so far. *)
+  val find_or_add : ('v, 's) t -> int -> ('s -> 'v) -> 'v
+  (** [find_or_add t k compute] returns slot [k], filling it with
+      [compute s] on a miss, where [s] is a scratch value no other fill is
+      using.  [compute] may be called more than once across domains for
+      the same key (first insert wins); it runs without the lock held. *)
+
+  val length : ('v, 's) t -> int
+  (** Number of filled slots. *)
 end

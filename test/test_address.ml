@@ -95,6 +95,102 @@ let test_ring_worst_case () =
   Alcotest.(check int) "n/2 bits" (n / 2) addr.Address.label_bits;
   Alcotest.(check int) "bytes" (n / 2 / 8) (Address.route_byte_size addr)
 
+(* --- the label codec at boundary widths and on real routes --- *)
+
+let roundtrip g path =
+  let addr = Address.make g ~route:path in
+  Alcotest.(check (list int)) "decode inverts make" path
+    (Address.decode g ~landmark:addr.Address.landmark ~labels:addr.Address.labels
+       ~hops:(Address.hops addr));
+  let expected_bits =
+    (* One label per hop, sized by the forwarding node's degree. *)
+    let rec widths = function
+      | [] | [ _ ] -> 0
+      | u :: (_ :: _ as rest) ->
+          Disco_util.Bits.width_for (Graph.degree g u) + widths rest
+    in
+    widths path
+  in
+  Alcotest.(check int) "bit length is sum of hop widths" expected_bits
+    addr.Address.label_bits
+
+let test_labels_roundtrip_boundary_widths () =
+  (* A path graph: interior degree 2 (1-bit labels), endpoints degree 1
+     (0-bit labels) — the first hop of [0; 1; ...] costs zero bits. *)
+  let line n =
+    let b = Graph.Builder.create n in
+    for v = 0 to n - 2 do
+      Graph.Builder.add_edge b v (v + 1) 1.0
+    done;
+    Graph.Builder.build b
+  in
+  let g = line 9 in
+  roundtrip g [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ];
+  roundtrip g [ 4; 3; 2; 1; 0 ];
+  roundtrip g [ 0; 1 ];
+  (* Star with a power-of-two degree hub: hub labels are exactly
+     width_for 16 = 4 bits, leaf labels 0 bits. *)
+  let hub = Graph.Builder.create 17 in
+  for leaf = 1 to 16 do
+    Graph.Builder.add_edge hub 0 leaf 1.0
+  done;
+  let g = Graph.Builder.build hub in
+  roundtrip g [ 3; 0; 16 ];
+  roundtrip g [ 0; 7 ];
+  (* Degree 17 = power of two + 1 pushes the width to 5 bits. *)
+  let hub = Graph.Builder.create 18 in
+  for leaf = 1 to 17 do
+    Graph.Builder.add_edge hub 0 leaf 1.0
+  done;
+  let g = Graph.Builder.build hub in
+  let addr = Address.make g ~route:[ 17; 0; 1 ] in
+  Alcotest.(check int) "0 + 5 bits" 5 addr.Address.label_bits;
+  Alcotest.(check (list int)) "roundtrip" [ 17; 0; 1 ]
+    (Address.decode g ~landmark:17 ~labels:addr.Address.labels ~hops:2)
+
+let test_labels_single_node_path () =
+  let g = Helpers.random_weighted_graph 13 in
+  let addr = Address.make g ~route:[ 0 ] in
+  Alcotest.(check int) "no hops, no bits" 0 addr.Address.label_bits;
+  Alcotest.(check (list int)) "decodes to itself" [ 0 ]
+    (Address.decode g ~landmark:0 ~labels:addr.Address.labels ~hops:0)
+
+let test_labels_reject_non_edge () =
+  let g = Helpers.random_weighted_graph 21 in
+  let non_edge =
+    let n = Graph.n g in
+    let found = ref None in
+    for u = 0 to n - 1 do
+      for v = 0 to n - 1 do
+        if !found = None && u <> v && Graph.edge_weight g u v = None then
+          found := Some (u, v)
+      done
+    done;
+    !found
+  in
+  match non_edge with
+  | None -> () (* complete graph; nothing to reject *)
+  | Some (u, v) ->
+      Alcotest.check_raises "non-edge hop rejected"
+        (Invalid_argument "Address.make: route is not a path")
+        (fun () -> ignore (Address.make g ~route:[ u; v ]))
+
+let prop_labels_roundtrip_on_routes =
+  Helpers.qtest "route labels round-trip through the bit codec" ~count:30
+    Helpers.seed_arb (fun seed ->
+      let g = Helpers.random_weighted_graph seed in
+      let d = Disco_core.Disco.build ~rng:(Disco_util.Rng.create seed) g in
+      let n = Graph.n g in
+      let src = seed mod n and dst = (seed * 7 + 1) mod n in
+      let check route =
+        let addr = Address.make g ~route in
+        Address.decode g ~landmark:addr.Address.landmark ~labels:addr.Address.labels
+          ~hops:(Address.hops addr)
+        = route
+      in
+      check (Disco_core.Disco.route_first d ~src ~dst)
+      && check (Disco_core.Disco.route_later d ~src ~dst))
+
 let suite =
   [
     Alcotest.test_case "make and fields" `Quick test_make_and_fields;
@@ -105,4 +201,9 @@ let suite =
     prop_roundtrip_random;
     prop_size_bound;
     Alcotest.test_case "ring worst case" `Quick test_ring_worst_case;
+    Alcotest.test_case "label roundtrip at boundary widths" `Quick
+      test_labels_roundtrip_boundary_widths;
+    Alcotest.test_case "single-node path" `Quick test_labels_single_node_path;
+    Alcotest.test_case "non-edge route rejected" `Quick test_labels_reject_non_edge;
+    prop_labels_roundtrip_on_routes;
   ]

@@ -20,10 +20,13 @@ module Routers = Disco_experiments.Routers
 module Results = Disco_experiments.Results
 module Harness = Disco_check.Harness
 
-let tb = lazy (Testbed.make ~seed:7 Gen.Gnm ~n:160)
+(* A fresh testbed per run: the routers' stores (vicinities, trees, balls)
+   start empty every time, so the jobs 2 and 4 runs fill them from several
+   domains at once instead of reading what the jobs 1 run left behind. *)
+let testbed () = Testbed.make ~seed:7 Gen.Gnm ~n:160
 
 let sample ~jobs =
-  let tb = Lazy.force tb in
+  let tb = testbed () in
   Results.reset ();
   Results.set_figure "test-parallel";
   let tel = Telemetry.create () in
@@ -67,7 +70,7 @@ let test_sample_pairs_jobs_invariant () =
     [ 2; 4 ]
 
 let test_map_groups_jobs_invariant () =
-  let tb = Lazy.force tb in
+  let tb = testbed () in
   let graph = tb.Testbed.graph in
   let groups = [ (0, [ 3; 9; 17 ]); (5, [ 1; 2 ]); (12, [ 4; 8; 11; 30 ]) ]
   in
@@ -91,8 +94,7 @@ let test_map_groups_jobs_invariant () =
   Alcotest.(check string) "same telemetry" seq_tel par_tel
 
 let test_metrics_stretch_jobs_invariant () =
-  let tb = Lazy.force tb in
-  let run ~jobs = Metrics.stretch ~jobs ~pairs:120 ~with_vrr:true tb in
+  let run ~jobs = Metrics.stretch ~jobs ~pairs:120 ~with_vrr:true (testbed ()) in
   let seq = run ~jobs:1 and par = run ~jobs:4 in
   let check name (a : float array) (b : float array) =
     Alcotest.(check (array (float 0.0))) name a b

@@ -65,105 +65,6 @@ let test_label_bytes_match_route () =
   let c = Header.later_packet d ~name_bytes:20 ~src:2 ~dst:8 in
   Alcotest.(check int) "label bytes" (Core.Address.route_byte_size addr) c.Header.label_bytes
 
-(* --- encode_labels / decode_labels round-trips --- *)
-
-let roundtrip g path =
-  match path with
-  | [] -> ()
-  | src :: _ ->
-      let labels, bits = Header.encode_labels g path in
-      let hops = List.length path - 1 in
-      Alcotest.(check (list int)) "decode inverts encode" path
-        (Header.decode_labels g ~src ~hops labels);
-      let expected_bits =
-        (* One label per hop, sized by the forwarding node's degree. *)
-        let rec widths = function
-          | [] | [ _ ] -> 0
-          | u :: (_ :: _ as rest) ->
-              Disco_util.Bits.width_for (Graph.degree g u) + widths rest
-        in
-        widths path
-      in
-      Alcotest.(check int) "bit length is sum of hop widths" expected_bits bits
-
-let test_labels_roundtrip_boundary_widths () =
-  (* A path graph: interior degree 2 (1-bit labels), endpoints degree 1
-     (0-bit labels) — the first hop of [0; 1; ...] costs zero bits. *)
-  let line n =
-    let b = Graph.Builder.create n in
-    for v = 0 to n - 2 do
-      Graph.Builder.add_edge b v (v + 1) 1.0
-    done;
-    Graph.Builder.build b
-  in
-  let g = line 9 in
-  roundtrip g [ 0; 1; 2; 3; 4; 5; 6; 7; 8 ];
-  roundtrip g [ 4; 3; 2; 1; 0 ];
-  roundtrip g [ 0; 1 ];
-  (* Star with a power-of-two degree hub: hub labels are exactly
-     width_for 16 = 4 bits, leaf labels 0 bits. *)
-  let hub = Graph.Builder.create 17 in
-  for leaf = 1 to 16 do
-    Graph.Builder.add_edge hub 0 leaf 1.0
-  done;
-  let g = Graph.Builder.build hub in
-  roundtrip g [ 3; 0; 16 ];
-  roundtrip g [ 0; 7 ];
-  (* Degree 17 = power of two + 1 pushes the width to 5 bits. *)
-  let hub = Graph.Builder.create 18 in
-  for leaf = 1 to 17 do
-    Graph.Builder.add_edge hub 0 leaf 1.0
-  done;
-  let g = Graph.Builder.build hub in
-  let labels, bits = Header.encode_labels g [ 17; 0; 1 ] in
-  Alcotest.(check int) "0 + 5 bits" 5 bits;
-  Alcotest.(check (list int)) "roundtrip" [ 17; 0; 1 ]
-    (Header.decode_labels g ~src:17 ~hops:2 labels)
-
-let test_labels_single_node_path () =
-  let g, _ = build 13 in
-  let labels, bits = Header.encode_labels g [ 0 ] in
-  Alcotest.(check int) "no hops, no bits" 0 bits;
-  Alcotest.(check (list int)) "decodes to itself" [ 0 ]
-    (Header.decode_labels g ~src:0 ~hops:0 labels)
-
-let test_labels_reject_non_path () =
-  let g = Helpers.random_weighted_graph 21 in
-  let non_edge =
-    let n = Graph.n g in
-    let found = ref None in
-    for u = 0 to n - 1 do
-      for v = 0 to n - 1 do
-        if !found = None && u <> v && Graph.edge_weight g u v = None then
-          found := Some (u, v)
-      done
-    done;
-    !found
-  in
-  match non_edge with
-  | None -> () (* complete graph; nothing to reject *)
-  | Some (u, v) ->
-      Alcotest.check_raises "non-path rejected"
-        (Invalid_argument "Header: route is not a path")
-        (fun () -> ignore (Header.encode_labels g [ u; v ]))
-
-let prop_labels_roundtrip_on_routes =
-  Helpers.qtest "route labels round-trip through the bit codec" ~count:30
-    Helpers.seed_arb (fun seed ->
-      let g, d = build seed in
-      let n = Graph.n g in
-      let src = seed mod n and dst = (seed * 7 + 1) mod n in
-      let check route =
-        match route with
-        | [] -> true
-        | first :: _ ->
-            let labels, _ = Header.encode_labels g route in
-            Header.decode_labels g ~src:first ~hops:(List.length route - 1) labels
-            = route
-      in
-      check (Core.Disco.route_first d ~src ~dst)
-      && check (Core.Disco.route_later d ~src ~dst))
-
 let suite =
   [
     Alcotest.test_case "components sum" `Quick test_components_sum;
@@ -171,9 +72,4 @@ let suite =
     Alcotest.test_case "path knowledge pays for ids" `Quick test_path_knowledge_pays_for_ids;
     Alcotest.test_case "later packet no ids" `Quick test_later_packet_no_ids;
     Alcotest.test_case "label bytes match route" `Quick test_label_bytes_match_route;
-    Alcotest.test_case "label roundtrip at boundary widths" `Quick
-      test_labels_roundtrip_boundary_widths;
-    Alcotest.test_case "single-node path" `Quick test_labels_single_node_path;
-    Alcotest.test_case "non-path rejected" `Quick test_labels_reject_non_path;
-    prop_labels_roundtrip_on_routes;
   ]

@@ -134,6 +134,77 @@ let test_run_with_scratch () =
             scratches))
     [ 1; 2; 4 ]
 
+(* --- Pool.Memo: the node-indexed store --- *)
+
+(* A deterministic, deliberately slow fill, so concurrent misses overlap. *)
+let fill k =
+  let acc = ref 0 in
+  for i = 1 to 20_000 do
+    acc := (!acc + (i * k)) land 0xFFFF
+  done;
+  ignore (Sys.opaque_identity !acc);
+  (k * k) + 1
+
+let test_memo_get_before_and_after () =
+  let m = Pool.Memo.create 8 ~empty:(-1) ~scratch:ignore in
+  Alcotest.(check int) "unfilled slot reads empty" (-1) (Pool.Memo.get m 3);
+  Alcotest.(check int) "fill returns the value" 10
+    (Pool.Memo.find_or_add m 3 (fun () -> 10));
+  Alcotest.(check int) "filled slot reads the value" 10 (Pool.Memo.get m 3);
+  Alcotest.(check int) "a hit does not recompute" 10
+    (Pool.Memo.find_or_add m 3 (fun () -> Alcotest.fail "recomputed a filled slot"));
+  Alcotest.(check int) "other slots stay empty" (-1) (Pool.Memo.get m 4)
+
+(* Overlapping keys from every worker: every slot ends equal to the
+   sequential fill, [length] counts the distinct keys, and a scratch value
+   is never inside two fills at once.  Each scratch records the domains
+   that used it (as the run_with test does) and an in-use counter that a
+   second concurrent borrower would see non-zero. *)
+let test_memo_parallel_fill () =
+  let keys = Array.init 240 (fun i -> (i * 7) mod 50) in
+  let seq = Array.init 64 (fun k -> if k < 50 then fill k else -1) in
+  List.iter
+    (fun jobs ->
+      let made = Atomic.make 0 and overlaps = Atomic.make 0 in
+      (* Each new scratch claims its own slot, so registering needs no lock. *)
+      let lent = Array.make 8 None in
+      let m =
+        Pool.Memo.create 64 ~empty:(-1) ~scratch:(fun () ->
+            let s = (Atomic.make 0, ref []) in
+            lent.(Atomic.fetch_and_add made 1) <- Some s;
+            s)
+      in
+      Pool.with_pool ~jobs (fun p ->
+          ignore
+            (Pool.run p keys (fun k ->
+                 Pool.Memo.find_or_add m k (fun (busy, seen) ->
+                     if Atomic.fetch_and_add busy 1 <> 0 then Atomic.incr overlaps;
+                     seen := (Domain.self () :> int) :: !seen;
+                     let v = fill k in
+                     Atomic.decr busy;
+                     v))
+              : int array));
+      let tag fmt = Printf.sprintf ("jobs=%d: " ^^ fmt) jobs in
+      Alcotest.(check (array int)) (tag "slots equal the sequential fill") seq
+        (Array.init 64 (Pool.Memo.get m));
+      Alcotest.(check int) (tag "length counts filled keys") 50 (Pool.Memo.length m);
+      Alcotest.(check int) (tag "no scratch lent to two fills at once") 0
+        (Atomic.get overlaps);
+      Alcotest.(check bool) (tag "at most one scratch per worker") true
+        (Atomic.get made >= 1 && Atomic.get made <= jobs);
+      let fills =
+        Array.fold_left
+          (fun acc -> function Some (_, seen) -> acc + List.length !seen | None -> acc)
+          0 lent
+      in
+      Alcotest.(check bool) (tag "every fill ran on a lent scratch") true
+        (fills >= 50 && fills <= Array.length keys);
+      if jobs = 1 then begin
+        Alcotest.(check int) "jobs=1 makes one scratch" 1 (Atomic.get made);
+        Alcotest.(check int) "jobs=1 fills each key once" 50 fills
+      end)
+    [ 1; 2; 4 ]
+
 let suite =
   [
     Alcotest.test_case "jobs=1 is a plain map" `Quick test_sequential_jobs1;
@@ -144,4 +215,7 @@ let suite =
     Alcotest.test_case "resolve_jobs" `Quick test_resolve_jobs;
     Alcotest.test_case "run_with lends one scratch per worker" `Quick
       test_run_with_scratch;
+    Alcotest.test_case "Memo.get before and after a fill" `Quick
+      test_memo_get_before_and_after;
+    Alcotest.test_case "Memo fills from parallel workers" `Quick test_memo_parallel_fill;
   ]
