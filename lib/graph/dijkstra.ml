@@ -1,12 +1,20 @@
-module Heap = Disco_util.Heap
-
 type workspace = {
   g_n : int;
   dist : float array;
   par : int array;
   stamp : int array; (* which run last touched this slot *)
-  settled : int array; (* which run settled this slot *)
-  heap : int Heap.t;
+  order : int array; (* the run's settled nodes, in settle order *)
+  mutable settled : int; (* how much of [order] the run has filled *)
+  (* The frontier: an indexed binary min-heap of the touched, unsettled
+     nodes, keyed by (dist, push sequence) so equal distances pop FIFO.
+     A node is in it iff touched this run and [pos >= 0]; a relaxation
+     that shortens a queued node gives it a fresh sequence number, which
+     is the order a heap of re-pushed entries would pop it in. *)
+  heap : int array;
+  pos : int array; (* slot in [heap] while queued, -1 once settled *)
+  seq : int array; (* push sequence of the node's current key *)
+  mutable len : int;
+  mutable next_seq : int;
   mutable run : int;
 }
 
@@ -17,65 +25,146 @@ let make_workspace g =
     dist = Array.make n infinity;
     par = Array.make n (-1);
     stamp = Array.make n (-1);
-    settled = Array.make n (-1);
-    heap = Heap.create ();
+    order = Array.make n 0;
+    settled = 0;
+    heap = Array.make n 0;
+    pos = Array.make n (-1);
+    seq = Array.make n 0;
+    len = 0;
+    next_seq = 0;
     run = 0;
   }
 
 let fresh_run ws g =
   if ws.g_n <> Graph.n g then invalid_arg "Dijkstra: workspace/graph mismatch";
   ws.run <- ws.run + 1;
-  Heap.clear ws.heap;
+  ws.settled <- 0;
+  ws.len <- 0;
+  ws.next_seq <- 0;
   ws.run
 
 let get_ws ws g = match ws with Some w -> w | None -> make_workspace g
 
-let touch ws run v d p =
-  ws.dist.(v) <- d;
-  ws.par.(v) <- p;
-  ws.stamp.(v) <- run
-
 let seen ws run v = ws.stamp.(v) = run
-let is_settled ws run v = ws.settled.(v) = run
+let is_settled ws run v = seen ws run v && ws.pos.(v) < 0
+
+let less ws a b =
+  let da = ws.dist.(a) and db = ws.dist.(b) in
+  da < db || (da = db && ws.seq.(a) < ws.seq.(b))
+
+let place ws v i =
+  ws.heap.(i) <- v;
+  ws.pos.(v) <- i
+
+(* Move [v] up from slot [i] to where its key belongs. *)
+let sift_up ws v i =
+  let i = ref i in
+  while !i > 0 && less ws v ws.heap.((!i - 1) / 2) do
+    let p = (!i - 1) / 2 in
+    place ws ws.heap.(p) !i;
+    i := p
+  done;
+  place ws v !i
+
+(* Move [v] down from slot [i] to where its key belongs. *)
+let sift_down ws v i =
+  let i = ref i and fin = ref false in
+  while not !fin do
+    let l = (2 * !i) + 1 in
+    if l >= ws.len then fin := true
+    else begin
+      let c = if l + 1 < ws.len && less ws ws.heap.(l + 1) ws.heap.(l) then l + 1 else l in
+      let cv = ws.heap.(c) in
+      if less ws cv v then begin
+        place ws cv !i;
+        i := c
+      end
+      else fin := true
+    end
+  done;
+  place ws v !i
+
+(* Queue [v] via [p] at the distance the caller has just written to
+   [ws.dist.(v)] (a float argument would be boxed per call): a first
+   touch, or a shorter path to a queued node. *)
+let push ws run v p =
+  let queued = seen ws run v in
+  ws.par.(v) <- p;
+  ws.stamp.(v) <- run;
+  ws.seq.(v) <- ws.next_seq;
+  ws.next_seq <- ws.next_seq + 1;
+  if queued then sift_up ws v ws.pos.(v)
+  else begin
+    ws.len <- ws.len + 1;
+    sift_up ws v (ws.len - 1)
+  end
+
+let pop ws =
+  let top = ws.heap.(0) in
+  ws.pos.(top) <- -1;
+  ws.len <- ws.len - 1;
+  if ws.len > 0 then sift_down ws ws.heap.(ws.len) 0;
+  top
 
 (* What a search does at a newly settled node: relax its edges, leave
    them unrelaxed, or end the run. *)
 type visit = Expand | Prune | Halt
 
-(* Core loop. [visit] inspects each newly settled node (with its settle
-   index and distance). *)
-let run_dijkstra ws g sources ~visit =
+(* Core loop. [visit] inspects each newly settled node; its distance is
+   [ws.dist]. The run settles at most [closest] nodes and never queues a
+   node at distance >= [radius]. Within those bounds it also skips the
+   first touch of a node that cannot be among the first [closest]: once
+   [closest] nodes are touched, every one of them ranks ahead of a new
+   node whose distance is at least the largest first-touch distance so
+   far (a queued key only falls, and the new node's sequence is later),
+   so on power-law graphs a hub's scan stops queueing once the
+   neighbourhood is full. A node skipped here is offered again if a
+   shorter path reaches it, so the settled prefix is exactly the
+   unbounded run's. *)
+let run_dijkstra ws g sources ~closest ~radius ~visit =
   let run = fresh_run ws g in
-  Array.iter
-    (fun s ->
-      touch ws run s 0.0 (-1);
-      Heap.push ws.heap 0.0 s)
-    sources;
-  let settle_count = ref 0 in
+  let row = g.Graph.row and col = g.Graph.col and wgt = g.Graph.wgt in
+  let touched = ref 0 and reach = ref 0.0 in
+  for i = 0 to Array.length sources - 1 do
+    let s = sources.(i) in
+    if (not (seen ws run s)) && 0.0 < radius then begin
+      ws.dist.(s) <- 0.0;
+      push ws run s (-1);
+      incr touched
+    end
+  done;
   let halted = ref false in
-  while (not !halted) && not (Heap.is_empty ws.heap) do
-    match Heap.pop ws.heap with
-    | None -> halted := true
-    | Some (d, u) ->
-        if not (is_settled ws run u) then begin
-          ws.settled.(u) <- run;
-          let idx = !settle_count in
-          incr settle_count;
-          match visit u idx d with
-          | Halt -> halted := true
-          | Prune -> ()
-          | Expand ->
-              Graph.iter_neighbors g u (fun v w ->
-                  let nd = d +. w in
-                  if (not (is_settled ws run v))
-                     && ((not (seen ws run v)) || nd < ws.dist.(v))
-                  then begin
-                    touch ws run v nd u;
-                    Heap.push ws.heap nd v
-                  end)
+  while (not !halted) && ws.len > 0 && ws.settled < closest do
+    let u = pop ws in
+    ws.order.(ws.settled) <- u;
+    ws.settled <- ws.settled + 1;
+    match visit u with
+    | Halt -> halted := true
+    | Prune -> ()
+    | Expand ->
+        if ws.settled < closest then begin
+          let du = ws.dist.(u) in
+          for i = row.(u) to row.(u + 1) - 1 do
+            let v = col.(i) in
+            let nd = du +. wgt.(i) in
+            if not (seen ws run v) then begin
+              if nd < radius && not (!touched >= closest && nd >= !reach) then begin
+                ws.dist.(v) <- nd;
+                push ws run v u;
+                incr touched;
+                if nd > !reach then reach := nd
+              end
+            end
+            else if ws.pos.(v) >= 0 && nd < ws.dist.(v) then begin
+              ws.dist.(v) <- nd;
+              push ws run v u
+            end
+          done
         end
   done;
   run
+
+let expand_all _ = Expand
 
 type sssp = { dist : float array; parent : int array }
 
@@ -83,17 +172,16 @@ let sssp ?ws ?until g src =
   let ws = get_ws ws g in
   let visit =
     match until with
-    | None -> fun _ _ _ -> Expand
-    | Some t -> fun u _ _ -> if u = t then Halt else Expand
+    | None -> expand_all
+    | Some t -> fun u -> if u = t then Halt else Expand
   in
-  let run = run_dijkstra ws g [| src |] ~visit in
+  ignore (run_dijkstra ws g [| src |] ~closest:max_int ~radius:infinity ~visit : int);
   let n = Graph.n g in
   let dist = Array.make n infinity and parent = Array.make n (-1) in
-  for v = 0 to n - 1 do
-    if is_settled ws run v then begin
-      dist.(v) <- ws.dist.(v);
-      parent.(v) <- ws.par.(v)
-    end
+  for i = 0 to ws.settled - 1 do
+    let v = ws.order.(i) in
+    dist.(v) <- ws.dist.(v);
+    parent.(v) <- ws.par.(v)
   done;
   { dist; parent }
 
@@ -101,16 +189,9 @@ let distance ?ws g src dst =
   if src = dst then 0.0
   else begin
     let ws = get_ws ws g in
-    let result = ref infinity in
-    let visit u _ d =
-      if u = dst then begin
-        result := d;
-        Halt
-      end
-      else Expand
-    in
-    ignore (run_dijkstra ws g [| src |] ~visit : int);
-    !result
+    let visit u = if u = dst then Halt else Expand in
+    let run = run_dijkstra ws g [| src |] ~closest:max_int ~radius:infinity ~visit in
+    if is_settled ws run dst then ws.dist.(dst) else infinity
   end
 
 type truncated = {
@@ -120,36 +201,31 @@ type truncated = {
   tparent : int array;
 }
 
-let collect_truncated ws g src ~stop =
-  let order = ref [] in
-  let visit u idx d =
-    if stop u idx d then Halt
-    else begin
-      order := u :: !order;
-      Expand
-    end
-  in
-  ignore (run_dijkstra ws g [| src |] ~visit : int);
-  let order = Array.of_list (List.rev !order) in
-  let tdist = Array.map (fun v -> ws.dist.(v)) order in
-  let tparent =
-    Array.map (fun v -> if v = src then -1 else ws.par.(v)) order
-  in
+let collect_truncated ws src =
+  let count = ws.settled in
+  let order = Array.sub ws.order 0 count in
+  let tdist = Array.make count 0.0 and tparent = Array.make count (-1) in
+  for i = 0 to count - 1 do
+    let v = order.(i) in
+    tdist.(i) <- ws.dist.(v);
+    tparent.(i) <- ws.par.(v)
+  done;
   { source = src; order; tdist; tparent }
 
 let k_closest ?ws g src k =
   let ws = get_ws ws g in
-  let k = min k (Graph.n g) in
-  collect_truncated ws g src ~stop:(fun _ idx _ -> idx >= k)
+  ignore (run_dijkstra ws g [| src |] ~closest:k ~radius:infinity ~visit:expand_all : int);
+  collect_truncated ws src
 
 let within_radius ?ws g src r =
   let ws = get_ws ws g in
-  collect_truncated ws g src ~stop:(fun _ _ d -> d >= r)
+  ignore (run_dijkstra ws g [| src |] ~closest:max_int ~radius:r ~visit:expand_all : int);
+  collect_truncated ws src
 
 let pruned ~ws g src ~expand =
   ignore
-    (run_dijkstra ws g [| src |] ~visit:(fun u _ d ->
-         if expand u d then Expand else Prune)
+    (run_dijkstra ws g [| src |] ~closest:max_int ~radius:infinity ~visit:(fun u ->
+         if expand u ws.dist.(u) then Expand else Prune)
       : int)
 
 type multi = { mdist : float array; mparent : int array; msource : int array }
@@ -160,12 +236,12 @@ let multi_source g sources =
   let msource = Array.make n (-1) in
   (* Track the originating source through the forest: when a node settles,
      it inherits its parent's source label. *)
-  let visit u _ _ =
+  let visit u =
     let p = ws.par.(u) in
     msource.(u) <- (if p = -1 then u else msource.(p));
     Expand
   in
-  let run = run_dijkstra ws g sources ~visit in
+  let run = run_dijkstra ws g sources ~closest:max_int ~radius:infinity ~visit in
   let mdist = Array.make n infinity and mparent = Array.make n (-1) in
   for v = 0 to n - 1 do
     if is_settled ws run v then begin
@@ -182,13 +258,6 @@ let path_of_parents ~parent ~src ~dst =
     if v = src then src :: acc else walk (parent v) (v :: acc) (steps - 1)
   in
   walk dst [] 1_000_000_000
-
-let truncated_lookup t =
-  let tbl = Hashtbl.create (2 * Array.length t.order) in
-  Array.iteri
-    (fun i v -> Hashtbl.replace tbl v (t.tdist.(i), t.tparent.(i)))
-    t.order;
-  fun v -> Hashtbl.find_opt tbl v
 
 let path_length g path =
   let rec go acc = function

@@ -5,9 +5,13 @@
     ({!within_radius}), landmark trees come from {!multi_source}, and
     stretch is measured against {!sssp}.
 
-    A {!workspace} holds the scratch arrays (distances, flags, a heap) so
-    running Dijkstra from all n sources costs O(settled) resets per run
-    instead of O(n). Workspaces are single-threaded; create one per domain. *)
+    A {!workspace} holds every array a run needs: distances, parents,
+    run stamps, the settle order, and the frontier, an indexed binary heap
+    over flat int arrays keyed by (distance, push sequence), so equal
+    distances settle first-in first-out. A run on a reused workspace
+    resets nothing per node and allocates only its result, and the relax
+    loop reads the graph's CSR arrays directly. Workspaces are
+    single-threaded; create one per domain. *)
 
 type workspace
 
@@ -38,12 +42,17 @@ type truncated = {
 val k_closest : ?ws:workspace -> Graph.t -> int -> int -> truncated
 (** [k_closest g src k] settles the [min k n] nodes closest to [src]
     (including [src]). Distance ties at the boundary are broken by
-    settle order, deterministically. *)
+    settle order, deterministically. The search does not queue a node
+    that already ranks behind [k] queued or settled ones, so a
+    high-degree node's scan stops queueing once the [k] slots are
+    filled; the result is exactly the first [k] nodes of an unbounded
+    run. *)
 
 val within_radius : ?ws:workspace -> Graph.t -> int -> float -> truncated
 (** [within_radius g src r] settles every node at distance < [r] — the
     strict inequality matches S4's cluster definition ("closer to v than
-    to their closest landmark"). *)
+    to their closest landmark"). Nodes at distance >= [r] are never
+    queued; the result is the prefix of an unbounded run below [r]. *)
 
 val pruned : ws:workspace -> Graph.t -> int -> expand:(int -> float -> bool) -> unit
 (** [pruned ~ws g src ~expand] settles nodes in distance order from
@@ -68,10 +77,6 @@ val path_of_parents : parent:(int -> int) -> src:int -> dst:int -> int list
 (** Reconstruct [src; ...; dst] by walking [parent] back from [dst].
     @raise Invalid_argument if the walk does not reach [src] within n
     steps (caller passes a closure that knows its own bounds). *)
-
-val truncated_lookup : truncated -> (int -> (float * int) option)
-(** Build an O(1) lookup from node id to (distance, predecessor) over a
-    truncated run's settled set. *)
 
 val path_length : Graph.t -> int list -> float
 (** Total weight of a node path.

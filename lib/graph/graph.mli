@@ -12,7 +12,16 @@
     (§4.2): a packet at a degree-[d] node selects its next hop with
     [ceil(log2 d)] bits. *)
 
-type t
+type t = private {
+  n : int;
+  m : int;
+  row : int array;  (** length [n + 1]: [u]'s arcs are slots [row.(u) .. row.(u+1) - 1] *)
+  col : int array;  (** per slot: the neighbor id, ascending within each row *)
+  wgt : float array;  (** per slot: the edge weight, parallel to [col] *)
+}
+(** The CSR arrays are readable so that inner loops (Dijkstra's relax
+    scan) can walk a row without a per-edge callback; only {!Builder}
+    makes one. *)
 
 module Builder : sig
   type graph := t
@@ -41,7 +50,11 @@ val neighbors : t -> int -> (int * float) list
 (** Neighbors with edge weights, ascending by node id. *)
 
 val iter_neighbors : t -> int -> (int -> float -> unit) -> unit
-(** Allocation-free iteration over [u]'s neighbors. *)
+(** [iter_neighbors g u f] calls [f v w] for each neighbor [v] of [u],
+    ascending by id. Not allocation-free: each call of [f] boxes the
+    float weight [w] unless the compiler inlines [f], which it does not
+    across modules under dune's [-opaque] builds. Loops that must not
+    allocate scan [row]/[col]/[wgt] directly. *)
 
 val fold_neighbors : t -> int -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
 

@@ -1,8 +1,8 @@
-(** Binary min-heap keyed by float priority.
+(** Binary min-heap keyed by float priority, holding any value.
 
-    Used as the frontier in Dijkstra's algorithm (with lazy deletion: stale
-    entries are pushed again and skipped on pop) and as the pending-event
-    queue of the discrete event simulator. *)
+    The pending-event queue of the discrete event simulator. Each push
+    allocates an entry, so allocation-free searches do not use it:
+    Dijkstra's frontier is a flat indexed heap inside its workspace. *)
 
 type 'a t
 
