@@ -6,20 +6,21 @@ module Core = Disco_core
 module Packed = Core.Packed
 
 (* Build-time staging only: converged entries are frozen into the 4-stride
-   CSR below, which both the route oracle and the compiled forward read. *)
+   CSR below, which the route oracle scans and {!compile} indexes. *)
 type entry = { ea : int; eb : int; next_a : int; next_b : int }
 
 type t = {
   graph : Graph.t;
   r : int;
   vids : Hash_space.id array;
+  ring : int array; (* ring position -> node, in (unsigned vid, id) order *)
   entries : Packed.Csr.t;
       (* per node, (ea, eb, next_a, next_b) blocks laid out in install
-         order; both faces scan blocks backward so the newest entry wins,
-         matching the prepend-order lists the build routes over *)
+         order; the route oracle scans blocks backward so the newest entry
+         wins, matching the prepend-order lists the build routes over *)
   final_vsets : Packed.Csr.t;
-  path_store : (int * int, int list) Hashtbl.t;
-  mutable fallbacks : int;
+  fallbacks : int;
+  ring_ok : bool; (* every final vset pair had a path set up *)
 }
 
 let pair_key x y = if x < y then (x, y) else (y, x)
@@ -123,7 +124,10 @@ let build ?(r = 4) ?names ~rng graph =
   let names = match names with Some a -> a | None -> Core.Name.default_array n in
   let vids = Array.map Hash_space.of_name names in
   let tables = Array.make n [] in
-  let path_store = Hashtbl.create (2 * n) in
+  (* Pairs whose path is set up, keyed [min * n + max]: the paths
+     themselves live on only as the installed entries. *)
+  let established : (int, unit) Hashtbl.t = Hashtbl.create (2 * n) in
+  let established_key x y = if x < y then (x * n) + y else (y * n) + x in
   let fallbacks = ref 0 in
   let ws = Dijkstra.make_workspace graph in
   let joined = Array.make n false in
@@ -324,8 +328,8 @@ let build ?(r = 4) ?names ~rng graph =
       ~src ~dst
   in
   let establish x y =
-    let key = pair_key x y in
-    if not (Hashtbl.mem path_store key) then begin
+    let key = established_key x y in
+    if not (Hashtbl.mem established key) then begin
       let path =
         match greedy_route ~excl:x ~src:x ~dst:y with
         | Some p -> p
@@ -333,7 +337,7 @@ let build ?(r = 4) ?names ~rng graph =
             incr fallbacks;
             shortest_path x y
       in
-      Hashtbl.replace path_store key path;
+      Hashtbl.replace established key ();
       install path
     end
   in
@@ -358,7 +362,7 @@ let build ?(r = 4) ?names ~rng graph =
      the fully built state. *)
   Hashtbl.iter
     (fun (x, y) () ->
-      if not (Hashtbl.mem path_store (x, y)) then begin
+      if not (Hashtbl.mem established (established_key x y)) then begin
         let path =
           match greedy_route ~excl:(-1) ~src:x ~dst:y with
           | Some p -> p
@@ -366,10 +370,20 @@ let build ?(r = 4) ?names ~rng graph =
               incr fallbacks;
               shortest_path x y
         in
-        Hashtbl.replace path_store (x, y) path;
+        Hashtbl.replace established (established_key x y) ();
         install path
       end)
     final_pairs;
+  let ring_ok =
+    let ok = ref true in
+    Array.iteri
+      (fun x vs ->
+        Array.iter
+          (fun y -> if not (Hashtbl.mem established (established_key x y)) then ok := false)
+          vs)
+      final_vset_rows;
+    !ok
+  in
   (* Converged state keeps every path established during the joins: VRR's
      converged state "depends on the order of node joins" (§5.1) precisely
      because setup-time paths persist; this is also what concentrates state
@@ -394,20 +408,19 @@ let build ?(r = 4) ?names ~rng graph =
     graph;
     r;
     vids;
+    ring = full_ring;
     entries;
     final_vsets = Packed.Csr.of_rows final_vset_rows;
-    path_store;
     fallbacks = !fallbacks;
+    ring_ok;
   }
 
 (* The route oracle's readers over the frozen CSR: same scan semantics as the
    staging-list helpers above, realised as backward 4-stride block scans
    (newest entry first). *)
 
-let pk_next_toward t ~usable u e =
-  let neighbor = ref false in
-  Graph.iter_neighbors t.graph u (fun v _ -> if v = e && usable v then neighbor := true);
-  if !neighbor then Some e
+let pk_next_toward t u e =
+  if Graph.has_edge t.graph u e then Some e
   else begin
     let data = t.entries.Packed.Csr.data in
     let off = Packed.Csr.row_off t.entries u in
@@ -420,12 +433,12 @@ let pk_next_toward t ~usable u e =
     scan (off + Packed.Csr.row_len t.entries u - 4)
   end
 
-let pk_best_endpoint t ~usable u ~dst ~bound =
+let pk_best_endpoint t u ~dst ~bound =
   let vd x = Hash_space.ring_distance t.vids.(x) t.vids.(dst) in
   let better a b = Hash_space.compare_unsigned a b < 0 in
   let best = ref None and best_d = ref bound in
   let consider endpoint =
-    if endpoint <> u && usable endpoint then begin
+    if endpoint <> u then begin
       let d = vd endpoint in
       if better d !best_d then begin
         best := Some endpoint;
@@ -433,7 +446,9 @@ let pk_best_endpoint t ~usable u ~dst ~bound =
       end
     end
   in
-  Graph.iter_neighbors t.graph u (fun v _ -> if usable v then consider v);
+  for i = 0 to Graph.degree t.graph u - 1 do
+    consider (Graph.neighbor_at t.graph u i)
+  done;
   let data = t.entries.Packed.Csr.data in
   let off = Packed.Csr.row_off t.entries u in
   let j = ref (off + Packed.Csr.row_len t.entries u - 4) in
@@ -447,10 +462,9 @@ let pk_best_endpoint t ~usable u ~dst ~bound =
 let route t ~src ~dst =
   if src = dst then Some [ src ]
   else
-    let usable _ = true in
     greedy_route_gen ~graph:t.graph
-      ~next_toward:(fun u e -> pk_next_toward t ~usable u e)
-      ~best_endpoint:(fun u bound -> pk_best_endpoint t ~usable u ~dst ~bound)
+      ~next_toward:(fun u e -> pk_next_toward t u e)
+      ~best_endpoint:(fun u bound -> pk_best_endpoint t u ~dst ~bound)
       ~direct:(fun u -> Graph.has_edge t.graph u dst)
       ~src ~dst
 
@@ -470,115 +484,232 @@ let packet_header (_ : t) ~src:_ ~dst =
    ([panchor]) and the monotone bound on the best virtual distance ever
    committed ([pvb_hi]/[pvb_lo]); max unsigned is the no-bound sentinel
    in both the packet and the route oracle. The header's 8 [extra_bytes]
-   are the destination's virtual id.  Virtual ids split into unsigned
-   32-bit halves ([fvhi]/[fvlo]); the fast path adopts the frozen CSR
-   slabs ([feoff]/[fent]) directly, scanning 4-stride blocks backward
-   exactly like the oracle's [pk_best_endpoint], so the endpoint scan and
-   the corridor lookup are array loads and the ring metric is borrow
-   arithmetic on int halves — no Int64 ever boxes on the hop loop. *)
+   are the destination's virtual id.
+
+   The oracle scans every neighbor and stored endpoint at every hop; the
+   compiled face instead reads a candidate index built here once. Row [u]
+   holds each distinct physical neighbor and stored endpoint of [u] (never
+   [u] itself) as a 3-word block, sorted by ring position:
+
+   - its ring position (rank in (unsigned vid, id) order);
+   - its next hop: itself for a neighbor (the oracle's [has_edge] comes
+     first), else the [next_toward] answer over the frozen blocks — the
+     newest entry whose arm names it with a stored hop other than [u], ea
+     arm before eb arm — or -1 for a broken corridor;
+   - its scan rank: where it first appears in the oracle's scan
+     (neighbors in CSR order, then entry blocks newest first, ea before
+     eb), which breaks ties between candidates at equal ring distance.
+
+   Ring distance to a destination is tent-shaped over a circularly sorted
+   row: it never decreases walking forward from the destination's
+   position until it peaks, then never increases back round to it. Every
+   minimum therefore lies in the equal-vid run at the circular successor
+   or the one at the predecessor, and the oracle's first minimum is the
+   one of least scan rank among them. Vids are unsigned 32-bit halves
+   ([fvhi]/[fvlo], indexed by ring position) so the ring metric is borrow
+   arithmetic on ints — no Int64 ever boxes on the hop loop. *)
 
 type fast = {
   fg : Graph.t;
+  fpos : int array; (* node -> ring position *)
+  fring : int array; (* ring position -> node, shared with [t] *)
   fvhi : int array;
   fvlo : int array;
-  feoff : int array; (* the frozen CSR's n+1 offsets, shared not copied *)
-  fent : int array; (* the frozen CSR's 4-stride (ea, eb, na, nb) blocks *)
+  coff : int array; (* the index's n+1 row offsets, in words *)
+  cand : int array; (* 3-word (position, next hop, scan rank) blocks *)
 }
 
-let compile t =
-  let n = Graph.n t.graph in
-  let fvhi = Array.make n 0 and fvlo = Array.make n 0 in
-  Array.iteri
-    (fun v id ->
-      fvhi.(v) <- Int64.to_int (Int64.shift_right_logical id 32);
-      fvlo.(v) <- Int64.to_int (Int64.logand id 0xFFFFFFFFL))
-    t.vids;
-  { fg = t.graph; fvhi; fvlo; feoff = t.entries.Packed.Csr.off;
-    fent = t.entries.Packed.Csr.data }
-
-let fast_prime (_ : fast) ~src:_ ~dst:_ = ()
-
-(* [best_endpoint]'s consider: ring_distance vids.(e) vids.(dst) in
-   unsigned halves (64-bit subtract with borrow, negate, unsigned min
-   with [Hash_space.ring_distance]'s tie rule), then strict unsigned improvement over the
-   best so far ([pis.(1)]=hi, [pis.(2)]=lo; candidate in [pis.(0)]). *)
-let fast_consider f (pkt : D.packet) u e =
-  if e <> u then begin
-    let ahi = f.fvhi.(e) and alo = f.fvlo.(e) in
-    let bhi = f.fvhi.(pkt.D.pdst) and blo = f.fvlo.(pkt.D.pdst) in
-    let slo = (blo - alo) land 0xFFFFFFFF in
-    let sbw = if blo < alo then 1 else 0 in
-    let shi = (bhi - ahi - sbw) land 0xFFFFFFFF in
-    let nlo = -slo land 0xFFFFFFFF in
-    let nbw = if slo > 0 then 1 else 0 in
-    let nhi = (-shi - nbw) land 0xFFFFFFFF in
-    let take_s = shi < nhi || (shi = nhi && slo <= nlo) in
-    let dhi = if take_s then shi else nhi in
-    let dlo = if take_s then slo else nlo in
-    if dhi < pkt.D.pis.(1) || (dhi = pkt.D.pis.(1) && dlo < pkt.D.pis.(2))
-    then begin
-      pkt.D.pis.(0) <- e;
-      pkt.D.pis.(1) <- dhi;
-      pkt.D.pis.(2) <- dlo
+(* In-place heapsort of [a.(0 .. len-1)]. *)
+let rec sift_down a i m =
+  let l = (2 * i) + 1 in
+  if l < m then begin
+    let c = if l + 1 < m && a.(l + 1) > a.(l) then l + 1 else l in
+    if a.(c) > a.(i) then begin
+      let x = a.(i) in
+      a.(i) <- a.(c);
+      a.(c) <- x;
+      sift_down a c m
     end
   end
 
-let rec fast_scan_nbrs f pkt u i deg =
-  if i < deg then begin
-    fast_consider f pkt u (Graph.neighbor_at f.fg u i);
-    fast_scan_nbrs f pkt u (i + 1) deg
+let heapsort_prefix a len =
+  for i = (len / 2) - 1 downto 0 do
+    sift_down a i len
+  done;
+  for m = len - 1 downto 1 do
+    let x = a.(0) in
+    a.(0) <- a.(m);
+    a.(m) <- x;
+    sift_down a 0 m
+  done
+
+let compile t =
+  let g = t.graph in
+  let n = Graph.n g in
+  let fring = t.ring in
+  let fpos = Array.make n 0 in
+  Array.iteri (fun p v -> fpos.(v) <- p) fring;
+  let fvhi = Array.make n 0 and fvlo = Array.make n 0 in
+  Array.iteri
+    (fun p v ->
+      let id = t.vids.(v) in
+      fvhi.(p) <- Int64.to_int (Int64.shift_right_logical id 32);
+      fvlo.(p) <- Int64.to_int (Int64.logand id 0xFFFFFFFFL))
+    fring;
+  let eoff = t.entries.Packed.Csr.off and ent = t.entries.Packed.Csr.data in
+  (* [scan u see] walks [u]'s candidates in the oracle's scan order:
+     [see x next] per occurrence, [next] being the hop that occurrence
+     offers ([x] itself for a neighbor). *)
+  let scan u see =
+    for i = 0 to Graph.degree g u - 1 do
+      let x = Graph.neighbor_at g u i in
+      see x x
+    done;
+    let j = ref (eoff.(u + 1) - 4) in
+    while !j >= eoff.(u) do
+      see ent.(!j) ent.(!j + 2);
+      see ent.(!j + 1) ent.(!j + 3);
+      j := !j - 4
+    done
+  in
+  (* Two passes straight into one flat array: count the distinct
+     candidates per row, then fill each row. [stamp.(x)] marks [x] as seen
+     in the current row (u in the first pass, n + u in the second), which
+     makes [rank.(x)] and [hop.(x)] its entries; [buf] collects the row's
+     ring positions for sorting. *)
+  let stamp = Array.make n (-1) in
+  let row_len u =
+    let count = ref 0 in
+    scan u (fun x _ ->
+        if x <> u && stamp.(x) <> u then begin
+          stamp.(x) <- u;
+          incr count
+        end);
+    3 * !count
+  in
+  let rank = Array.make n 0 and hop = Array.make n (-1) and buf = Array.make n 0 in
+  let fill u data off =
+    let mark = n + u and len = ref 0 in
+    scan u (fun x next ->
+        if x <> u then begin
+          let h = if next <> u then next else -1 in
+          if stamp.(x) <> mark then begin
+            stamp.(x) <- mark;
+            rank.(x) <- !len;
+            hop.(x) <- h;
+            buf.(!len) <- fpos.(x);
+            incr len
+          end
+          else if hop.(x) < 0 then hop.(x) <- h
+        end);
+    heapsort_prefix buf !len;
+    for i = 0 to !len - 1 do
+      let b = off + (3 * i) and x = fring.(buf.(i)) in
+      data.(b) <- buf.(i);
+      data.(b + 1) <- hop.(x);
+      data.(b + 2) <- rank.(x)
+    done
+  in
+  let index = Packed.Csr.of_fn ~n ~row_len ~fill in
+  { fg = g; fpos; fring; fvhi; fvlo; coff = index.Packed.Csr.off; cand = index.Packed.Csr.data }
+
+let fast_prime (_ : fast) ~src:_ ~dst:_ = ()
+
+(* First candidate index in [lo, hi) whose ring position is >= [p]. *)
+let rec fast_lower_bound f p lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if f.cand.(3 * mid) < p then fast_lower_bound f p (mid + 1) hi
+    else fast_lower_bound f p lo mid
+
+(* [best_endpoint]'s consider for candidate [i]: ring distance from the
+   destination at ring position [pd] in unsigned halves (64-bit subtract
+   with borrow, negate, unsigned min), then strict unsigned improvement
+   over the best so far — or, at equal distance, a smaller scan rank
+   ([pis]: 0 candidate index, 1 hi, 2 lo, 3 rank; rank -1 while the
+   carried bound stands, which no candidate may tie). *)
+let fast_consider f (pkt : D.packet) pd i =
+  let pc = f.cand.(3 * i) in
+  let ahi = f.fvhi.(pc) and alo = f.fvlo.(pc) in
+  let bhi = f.fvhi.(pd) and blo = f.fvlo.(pd) in
+  let slo = (blo - alo) land 0xFFFFFFFF in
+  let sbw = if blo < alo then 1 else 0 in
+  let shi = (bhi - ahi - sbw) land 0xFFFFFFFF in
+  let nlo = -slo land 0xFFFFFFFF in
+  let nbw = if slo > 0 then 1 else 0 in
+  let nhi = (-shi - nbw) land 0xFFFFFFFF in
+  let take_s = shi < nhi || (shi = nhi && slo <= nlo) in
+  let dhi = if take_s then shi else nhi in
+  let dlo = if take_s then slo else nlo in
+  let rank = f.cand.((3 * i) + 2) in
+  let pis = pkt.D.pis in
+  if
+    dhi < pis.(1)
+    || dhi = pis.(1)
+       && (dlo < pis.(2) || (dlo = pis.(2) && rank < pis.(3)))
+  then begin
+    pis.(0) <- i;
+    pis.(1) <- dhi;
+    pis.(2) <- dlo;
+    pis.(3) <- rank
   end
 
-(* Backward over [u]'s 4-stride blocks: newest entry first, ea arm before
-   eb arm — [pk_best_endpoint]'s scan order exactly. *)
-let rec fast_scan_entries f pkt u j lo =
-  if j >= lo then begin
-    fast_consider f pkt u f.fent.(j);
-    fast_consider f pkt u f.fent.(j + 1);
-    fast_scan_entries f pkt u (j - 4) lo
+(* Consider candidates from [i] in steps of [step] while their vid is
+   ([vhi], [vlo]), stopping at index [stop]. *)
+let rec fast_run f pkt pd i step stop vhi vlo =
+  if i <> stop then begin
+    let pc = f.cand.(3 * i) in
+    if f.fvhi.(pc) = vhi && f.fvlo.(pc) = vlo then begin
+      fast_consider f pkt pd i;
+      fast_run f pkt pd (i + step) step stop vhi vlo
+    end
   end
 
-(* [next_toward] over the frozen blocks: newest entry whose endpoint
-   matches and whose stored next hop is not [u] (ea arm before eb arm);
-   -1 when the corridor is broken. *)
-let rec fast_next_entry f u e j lo =
-  if j < lo then -1
-  else if f.fent.(j) = e && f.fent.(j + 2) <> u then f.fent.(j + 2)
-  else if f.fent.(j + 1) = e && f.fent.(j + 3) <> u then f.fent.(j + 3)
-  else fast_next_entry f u e (j - 4) lo
+(* The stored hop toward [e] at a node whose row is [lo, hi): -1 when [e]
+   is neither a neighbor nor a stored endpoint there. *)
+let fast_hop_toward f e lo hi =
+  let p = f.fpos.(e) in
+  let i = fast_lower_bound f p lo hi in
+  if i < hi && f.cand.(3 * i) = p then f.cand.((3 * i) + 1) else -1
 
 let fast_step f (pkt : D.packet) u =
   let dst = pkt.D.pdst in
   if u = dst then D.fast_deliver
   else if Graph.has_edge f.fg u dst then dst
   else begin
-    let committed = if pkt.D.panchor = u then -1 else pkt.D.panchor in
-    pkt.D.pis.(0) <- -1;
-    pkt.D.pis.(1) <- pkt.D.pvb_hi;
-    pkt.D.pis.(2) <- pkt.D.pvb_lo;
-    fast_scan_nbrs f pkt u 0 (Graph.degree f.fg u);
-    fast_scan_entries f pkt u (f.feoff.(u + 1) - 4) f.feoff.(u);
-    let best = pkt.D.pis.(0) in
-    let target = if best >= 0 then best else committed in
-    if target < 0 then D.fast_no_route
-    else begin
-      let hop =
-        if Graph.has_edge f.fg u target then target
-        else fast_next_entry f u target (f.feoff.(u + 1) - 4) f.feoff.(u)
-      in
+    (* Candidate indexes: block [i] is [cand.(3i .. 3i+2)]. *)
+    let lo = f.coff.(u) / 3 and hi = f.coff.(u + 1) / 3 in
+    let pis = pkt.D.pis in
+    pis.(0) <- -1;
+    pis.(1) <- pkt.D.pvb_hi;
+    pis.(2) <- pkt.D.pvb_lo;
+    pis.(3) <- -1;
+    if lo < hi then begin
+      let pd = f.fpos.(dst) in
+      let s = fast_lower_bound f pd lo hi in
+      let s = if s = hi then lo else s in
+      let p = if s = lo then hi - 1 else s - 1 in
+      let ps = f.cand.(3 * s) and pp = f.cand.(3 * p) in
+      fast_run f pkt pd s 1 hi f.fvhi.(ps) f.fvlo.(ps);
+      fast_run f pkt pd p (-1) (lo - 1) f.fvhi.(pp) f.fvlo.(pp)
+    end;
+    let best = pis.(0) in
+    if best >= 0 then begin
+      let hop = f.cand.((3 * best) + 1) in
       if hop < 0 then D.fast_no_route (* broken corridor *)
-      else if
-        target = pkt.D.panchor
-        && pkt.D.pis.(1) = pkt.D.pvb_hi
-        && pkt.D.pis.(2) = pkt.D.pvb_lo
-      then hop
       else begin
-        pkt.D.panchor <- target;
-        pkt.D.pvb_hi <- pkt.D.pis.(1);
-        pkt.D.pvb_lo <- pkt.D.pis.(2);
+        pkt.D.panchor <- f.fring.(f.cand.(3 * best));
+        pkt.D.pvb_hi <- pis.(1);
+        pkt.D.pvb_lo <- pis.(2);
         hop
       end
     end
+    else if pkt.D.panchor < 0 || pkt.D.panchor = u then D.fast_no_route
+    else
+      (* No strictly closer endpoint: keep following the committed one. *)
+      let hop = fast_hop_toward f pkt.D.panchor lo hi in
+      if hop < 0 then D.fast_no_route else hop
   end
 
 let state_entries t =
@@ -597,10 +728,4 @@ let state_bytes t v =
 let vset t v = Packed.Csr.sub_row t.final_vsets v
 let setup_fallbacks t = t.fallbacks
 
-let ring_distance_ok t =
-  let ok = ref true in
-  for x = 0 to Packed.Csr.rows t.final_vsets - 1 do
-    Packed.Csr.iter_row t.final_vsets x (fun y ->
-        if not (Hashtbl.mem t.path_store (pair_key x y)) then ok := false)
-  done;
-  !ok
+let ring_distance_ok t = t.ring_ok

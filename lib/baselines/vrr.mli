@@ -55,21 +55,32 @@ val setup_fallbacks : t -> int
 (** Path setups that required the shortest-path fallback during join. *)
 
 val ring_distance_ok : t -> bool
-(** Sanity invariant for tests: every node's vset equals its true ring
-    neighborhood. *)
+(** Sanity invariant for tests, decided at the end of {!build}: every
+    pair in a converged vset had its path set up. *)
 
 (** {2 Compiled forward} *)
 
 type fast
-(** Virtual ids as unsigned 32-bit halves over the same frozen CSR entry
-    slabs the route oracle reads (shared, not copied), for the zero-alloc
-    walker (no Int64 on the hop loop). *)
+(** A compile-time candidate index over the converged tables. Row [u]
+    lists every distinct physical neighbor and stored endpoint of [u] in
+    ring order, each with its precomputed next hop (itself for a
+    neighbor, else the newest stored corridor hop toward it) and its rank
+    in {!route}'s scan order. Three words per candidate in one flat array,
+    plus node/ring-position maps and virtual ids as unsigned 32-bit
+    halves, so the zero-alloc walker never boxes an Int64. *)
 
 val compile : t -> fast
 val fast_prime : fast -> src:int -> dst:int -> unit
 
 val fast_step : fast -> Disco_core.Dataplane.packet -> int -> int
 (** One zero-alloc greedy step at node [u], consulting only its pset, its
-    stored path entries and the packet's committed endpoint/bound.
-    Walking it from [src] reproduces {!route} exactly (same path, same
-    delivery verdict). *)
+    stored path entries and the packet's committed endpoint/bound, in
+    O(log candidates): one binary search for the destination's ring
+    position, then only the equal-vid runs at its circular successor and
+    predecessor — ring distance is tent-shaped over the sorted row, so
+    every minimum lies there. A candidate must beat the carried bound
+    strictly; among equals the least scan rank wins, which is the first
+    minimum {!route}'s linear scan finds. With no better candidate, a
+    second binary search finds the committed endpoint's hop. {!route}
+    keeps its independent linear scan; walking [fast_step] from [src]
+    reproduces it exactly (same path, same delivery verdict). *)

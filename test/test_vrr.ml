@@ -4,6 +4,7 @@ module Rng = Disco_util.Rng
 module Vrr = Disco_baselines.Vrr
 module Hash_space = Disco_hash.Hash_space
 module Name = Disco_core.Name
+module D = Disco_core.Dataplane
 
 let build ?(seed = 3) ?(n = 64) () =
   let g = Helpers.random_graph ~n_min:n ~n_max:(n + 1) seed in
@@ -100,6 +101,45 @@ let test_state_unbalanced_on_power_law () =
     true
     (s.Disco_util.Stats.max > 4.0 *. s.Disco_util.Stats.mean)
 
+(* The compiled step answers from a ring-sorted candidate index; the route
+   oracle scans every neighbor and stored endpoint linearly.  Walking the
+   compiled step must give the oracle's path and verdict on every ordered
+   pair.  Names repeating every 37 nodes make vids collide, so equal ring
+   distances are common and the scan-order tie-break decides hops. *)
+let test_walk_matches_route () =
+  let check label g names =
+    let v = Vrr.build ?names ~rng:(Rng.create 23) g in
+    let f = Vrr.compile v in
+    let n = Graph.n g in
+    let ttl = Vrr.ttl_factor * n in
+    let pkt = D.packet_create g and trail = Array.make (ttl + 1) (-1) in
+    for s = 0 to n - 1 do
+      for t = 0 to n - 1 do
+        Vrr.fast_prime f ~src:s ~dst:t;
+        D.load_packet pkt (Vrr.packet_header v ~src:s ~dst:t);
+        D.fast_walk g ~step:(Vrr.fast_step f) pkt ~src:s ~ttl ~trail;
+        let walked =
+          if pkt.D.pdelivered then Some (Array.to_list (Array.sub trail 0 (pkt.D.phops + 1)))
+          else None
+        in
+        Alcotest.(check (option (list int)))
+          (Printf.sprintf "%s %d->%d" label s t)
+          (Vrr.route v ~src:s ~dst:t) walked
+      done
+    done
+  in
+  let n = 120 in
+  let rng = Rng.create 29 in
+  let glp = Gen.glp ~rng ~n () in
+  let geo = Gen.geometric ~rng ~n ~avg_degree:8.0 in
+  let router = Gen.internet_router ~rng ~n in
+  let repeating = Some (Array.init n (fun i -> Name.default (i mod 37))) in
+  check "glp" glp None;
+  check "geometric" geo None;
+  check "router" router None;
+  check "glp, repeating names" glp repeating;
+  check "geometric, repeating names" geo repeating
+
 let suite =
   [
     Alcotest.test_case "vset size" `Quick test_vset_size;
@@ -111,4 +151,5 @@ let suite =
     Alcotest.test_case "no setup fallbacks" `Quick test_no_fallbacks_on_connected_graph;
     Alcotest.test_case "join order affects state" `Quick test_join_order_affects_state;
     Alcotest.test_case "unbalanced state on power law" `Quick test_state_unbalanced_on_power_law;
+    Alcotest.test_case "compiled walk ≡ route on every pair" `Quick test_walk_matches_route;
   ]
